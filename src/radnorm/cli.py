@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import random
 import sys
@@ -527,10 +528,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _dispatch(args) -> int:
-    if args.out:
+    if not args.out:
+        return _dispatch_to(args, sys.stdout)
+    # Open the target only once the report is complete, so a run that stops
+    # with an error leaves it as it was.
+    report = io.StringIO()
+    code = _dispatch_to(args, report)
+    try:
         with open(args.out, "w", encoding="utf-8") as handle:
-            return _dispatch_to(args, handle)
-    return _dispatch_to(args, sys.stdout)
+            handle.write(report.getvalue())
+    except OSError as exc:
+        raise _UsageError(f"cannot write --out {args.out}: {exc.strerror}") from exc
+    return code
 
 
 def _dispatch_to(args, out: TextIO) -> int:

@@ -13,6 +13,10 @@ This module computes those constants exactly, three independent ways:
 
 The standalone combinatorial facts the derivations rest on are exposed too
 (``half_identity_check``, ``phi_deriv_at_zero``).
+
+Both formula routes accumulate in ``int`` over the coefficients' common
+denominator and build one ``Fraction`` at the end.  Memo caches are bounded
+or keyed on (n, m) only; none is keyed on s.
 """
 
 from __future__ import annotations
@@ -20,9 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import comb, lcm
 from typing import Callable
 
-from .exactnum import Rational, binomial, factorial, format_rational, pochhammer
+from .exactnum import Rational, as_rational, binomial, factorial, format_rational, pochhammer
 
 __all__ = [
     "NormKind",
@@ -60,7 +65,7 @@ class NormKind:
         if self.variant == "power":
             if self.s is None:
                 raise ValueError("power kind requires an exponent s")
-            object.__setattr__(self, "s", Fraction(self.s))
+            object.__setattr__(self, "s", as_rational(self.s))
         elif self.variant == "logarithm":
             if self.s is not None:
                 raise ValueError("logarithm kind takes no exponent")
@@ -69,7 +74,7 @@ class NormKind:
 
     @classmethod
     def power(cls, s) -> "NormKind":
-        return cls("power", Fraction(s))
+        return cls("power", s)
 
     @classmethod
     def logarithm(cls) -> "NormKind":
@@ -125,13 +130,64 @@ def _ceil_half(k: int) -> int:
 
 def power_coeffs(s) -> Callable[[int], Rational]:
     """Taylor coefficients of (1+t)^(s/2): n -> C(s/2, n)."""
-    s = Fraction(s)
+    s = as_rational(s)
     return lambda n: binomial(s / 2, n)
 
 
 def log_coeffs() -> Callable[[int], Rational]:
     """Taylor coefficients of (1/2)log(1+t): n -> (-1)^(n-1) / (2n) for n >= 1."""
     return lambda n: Fraction((-1) ** (n - 1), 2 * n)
+
+
+def _over_common_denominator(values: list[Rational]) -> tuple[list[int], int]:
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _power_terms(s: Rational, k: int) -> tuple[list[int], int]:
+    # C(s/2, p) from one running product; no cache keyed on s.
+    half, term, terms = s / 2, Fraction(1), []
+    for p in range(k + 1):
+        terms.append(term)
+        term = term * (half - p) / (p + 1)
+    return _over_common_denominator(terms[_ceil_half(k):])
+
+
+def _profile_terms(coeffs: Callable[[int], Rational], k: int) -> tuple[list[int], int]:
+    return _over_common_denominator([as_rational(coeffs(p)) for p in range(_ceil_half(k), k + 1)])
+
+
+def _closed_kernel(n: int, k: int, nums: list[int], den: int) -> Rational:
+    # k! sum_l (k-2l)! l! ((n-3)/2+l)_l (sum_p 2^(2p-k+l) c_p C(p,k-p) C(k-p,l))^2
+    # with c_p = nums[p - ceil(k/2)] / den.  rising = 2^l ((n-3)/2+l)_l
+    # = (n-1)(n+1)...(n+2l-3) is an integer; the 2^-l it leaves is cleared
+    # by the common factor 2^floor(k/2), so the sum stays an integer.
+    half = k // 2
+    total, rising = 0, 1
+    for l in range(half + 1):
+        inner = sum(
+            (c * comb(p, k - p) * comb(k - p, l)) << (2 * p - k + l)
+            for p, c in zip(range(_ceil_half(k), k - l + 1), nums)
+        )
+        total += (factorial(k - 2 * l) * factorial(l) * rising * inner * inner) << (half - l)
+        rising *= n + 2 * l - 1
+        if not rising:  # n = 1: only the l = 0 term survives
+            break
+    return Fraction(factorial(k) * total, den * den << half)
+
+
+def _recursive_kernel(n: int, k: int, nums: list[int], den: int, even_constant) -> Rational:
+    # k! sum_l (k-2l)!/(2l)! (sum_p 2^(2p-k) c_p C(p,k-p) C(k-p,l))^2 E(n-1, l)
+    # with c_p = nums[p - ceil(k/2)] / den and E = even_constant.
+    total = Fraction(0)
+    for l in range(k // 2 + 1):
+        inner = sum(
+            (c * comb(p, k - p) * comb(k - p, l)) << (2 * p - k)
+            for p, c in zip(range(_ceil_half(k), k - l + 1), nums)
+        )
+        even = even_constant(n - 1, l)
+        total += Fraction(factorial(k - 2 * l) * inner * inner, factorial(2 * l)) * even
+    return total * Fraction(factorial(k), den * den)
 
 
 def gamma_closed(n: int, s, k: int) -> Rational:
@@ -142,30 +198,14 @@ def gamma_closed(n: int, s, k: int) -> Rational:
         k! * sum_l (k-2l)! l! ((n-3)/2 + l)_l
            * ( sum_p 2^(2p-k+l) C(s/2,p) C(p,k-p) C(k-p,l) )^2
 
-    with l in [0, floor(k/2)] and p in [ceil(k/2), k-l], exactly as written.
+    with l in [0, floor(k/2)] and p in [ceil(k/2), k-l] in integers over a
+    common denominator, as one Fraction at the end.
     """
     if n < 1:
         raise ValueError("dimension must be >= 1")
     if k < 0:
         raise ValueError("derivative order must be >= 0")
-    s = Fraction(s)
-    total = Fraction(0)
-    for l in range(k // 2 + 1):
-        inner = Fraction(0)
-        for p in range(_ceil_half(k), k - l + 1):
-            inner += (
-                Fraction(2) ** (2 * p - k + l)
-                * binomial(s / 2, p)
-                * binomial(p, k - p)
-                * binomial(k - p, l)
-            )
-        total += (
-            factorial(k - 2 * l)
-            * factorial(l)
-            * pochhammer(Fraction(n - 3, 2) + l, l)
-            * inner ** 2
-        )
-    return factorial(k) * total
+    return _closed_kernel(n, k, *_power_terms(as_rational(s), k))
 
 
 def ell_closed(n: int, k: int) -> Rational:
@@ -178,47 +218,21 @@ def ell_closed(n: int, k: int) -> Rational:
         raise ValueError("dimension must be >= 1")
     if k < 1:
         raise ValueError("logarithm constant is undefined at order 0")
-    total = Fraction(0)
-    for l in range(k // 2 + 1):
-        inner = Fraction(0)
-        for p in range(_ceil_half(k), k - l + 1):
-            inner += (
-                Fraction(2) ** (2 * p - k + l)
-                * Fraction((-1) ** p, 2 * p)
-                * binomial(p, k - p)
-                * binomial(k - p, l)
-            )
-        total += (
-            factorial(k - 2 * l)
-            * factorial(l)
-            * pochhammer(Fraction(n - 3, 2) + l, l)
-            * inner ** 2
-        )
-    return factorial(k) * total
+    return _closed_kernel(n, k, *_profile_terms(log_coeffs(), k))
 
 
 def gamma_1d(s, k: int) -> Rational:
     """One-dimensional power constant: ( k! sum_p 2^(2p-k) C(s/2,p) C(p,k-p) )^2.
 
+    The n = 1 case of the closed form, where only the l = 0 term survives.
     Equals ((s)_k)^2.
     """
-    if k < 0:
-        raise ValueError("derivative order must be >= 0")
-    s = Fraction(s)
-    inner = Fraction(0)
-    for p in range(_ceil_half(k), k + 1):
-        inner += Fraction(2) ** (2 * p - k) * binomial(s / 2, p) * binomial(p, k - p)
-    return (factorial(k) * inner) ** 2
+    return gamma_closed(1, s, k)
 
 
 def ell_1d(k: int) -> Rational:
     """One-dimensional logarithm constant; equals ((k-1)!)^2 for k >= 1."""
-    if k < 1:
-        raise ValueError("logarithm constant is undefined at order 0")
-    inner = Fraction(0)
-    for p in range(_ceil_half(k), k + 1):
-        inner += Fraction(2) ** (2 * p - k) * Fraction((-1) ** p, 2 * p) * binomial(p, k - p)
-    return (factorial(k) * inner) ** 2
+    return ell_closed(1, k)
 
 
 def gamma_even(n: int, m: int) -> Rational:
@@ -274,25 +288,6 @@ def ell2_special(k: int) -> Rational:
     return Fraction(2) ** (k - 1) * factorial(k - 1) ** 2
 
 
-def _compose_at_origin(n, k, coeffs, even_constant) -> Rational:
-    total = Fraction(0)
-    for l in range(k // 2 + 1):
-        inner = Fraction(0)
-        for p in range(_ceil_half(k), k - l + 1):
-            inner += (
-                Fraction(2) ** (2 * p - k)
-                * Fraction(coeffs(p))
-                * binomial(p, k - p)
-                * binomial(k - p, l)
-            )
-        total += (
-            Fraction(factorial(k - 2 * l), factorial(2 * l))
-            * inner ** 2
-            * even_constant(n - 1, l)
-        )
-    return factorial(k) * total
-
-
 def taylor_compose_norm_sq(n: int, k: int, coeffs: Callable[[int], Rational]) -> Rational:
     """Squared k-th derivative-tensor norm at the origin of f(rho) on R^n, n >= 2.
 
@@ -305,7 +300,7 @@ def taylor_compose_norm_sq(n: int, k: int, coeffs: Callable[[int], Rational]) ->
         raise ValueError("dimension must be >= 2; the scalar case folds into gamma_1d/ell_1d")
     if k < 0:
         raise ValueError("derivative order must be >= 0")
-    return _compose_at_origin(n, k, coeffs, gamma_even)
+    return _recursive_kernel(n, k, *_profile_terms(coeffs, k), gamma_even)
 
 
 def gamma_recursive(n: int, s, k: int, deep: bool = False) -> Rational:
@@ -320,7 +315,7 @@ def gamma_recursive(n: int, s, k: int, deep: bool = False) -> Rational:
     if n == 1:
         return gamma_1d(s, k)
     even = _gamma_even_deep if deep else gamma_even
-    return _compose_at_origin(n, k, power_coeffs(s), even)
+    return _recursive_kernel(n, k, *_power_terms(as_rational(s), k), even)
 
 
 def ell_recursive(n: int, k: int, deep: bool = False) -> Rational:
@@ -332,7 +327,7 @@ def ell_recursive(n: int, k: int, deep: bool = False) -> Rational:
     if n == 1:
         return ell_1d(k)
     even = _gamma_even_deep if deep else gamma_even
-    return _compose_at_origin(n, k, log_coeffs(), even)
+    return _recursive_kernel(n, k, *_profile_terms(log_coeffs(), k), even)
 
 
 def half_identity_check(nu, m: int) -> bool:

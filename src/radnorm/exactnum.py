@@ -8,12 +8,14 @@ is exact, and division by zero raises instead of producing a value.
 from __future__ import annotations
 
 import math
+import numbers
 import re
 from fractions import Fraction
 from functools import lru_cache
 
 __all__ = [
     "Rational",
+    "as_rational",
     "parse_rational",
     "format_rational",
     "factorial",
@@ -23,6 +25,10 @@ __all__ = [
 ]
 
 Rational = Fraction
+
+# Entries kept by the pochhammer memo: room for the 891 (nu, l) pairs that
+# gamma_even(n - 1, l) needs for n <= 12, k <= 160, and for binomial callers.
+POCHHAMMER_CACHE_SIZE = 4096
 
 # Wire format: optional sign on the numerator, "/q" omitted when q == 1.
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
@@ -45,6 +51,19 @@ def parse_rational(text: str) -> Rational:
     return Fraction(int(num))
 
 
+def as_rational(value) -> Rational:
+    """An exact input value as a Rational.
+
+    Floats (NaN included) and other inexact reals are rejected with TypeError
+    rather than converted from their binary expansion; so are bools.
+    """
+    if isinstance(value, bool) or (
+        isinstance(value, numbers.Real) and not isinstance(value, numbers.Rational)
+    ):
+        raise TypeError(f"expected an exact rational, got {type(value).__name__} {value!r}")
+    return Fraction(value)
+
+
 def format_rational(value) -> str:
     """Render a value in the wire format "p/q" ("p" when the denominator is 1)."""
     return str(Fraction(value))
@@ -55,11 +74,13 @@ def factorial(k: int) -> int:
     return math.factorial(k)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=POCHHAMMER_CACHE_SIZE)
 def pochhammer(nu, k: int) -> Rational:
     """Falling factorial (nu)_k = nu (nu-1) ... (nu-k+1), with (nu)_0 = 1.
 
-    Memoized per (nu, k); the function is pure, so caching is unobservable.
+    Memoized per (nu, k) in a least-recently-used cache of
+    POCHHAMMER_CACHE_SIZE entries; the function is pure, so caching is
+    unobservable.
     """
     if k < 0:
         raise ValueError("pochhammer order must be nonnegative")

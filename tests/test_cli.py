@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 from fractions import Fraction
 
 import pytest
@@ -248,3 +250,51 @@ def test_out_writes_file(tmp_path, capsys):
     assert code == EXIT_OK
     assert out == ""
     assert target.read_text() == "N,k,s,closed\n2,2,,2\n"
+
+
+def test_out_directory_is_a_usage_error(tmp_path, capsys):
+    code, out, err = run(
+        capsys, "table", "--norm", "ell", "--N", "2", "--k", "2", "--out", str(tmp_path),
+    )
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("radnorm: error:") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_run_leaves_out_target_untouched(tmp_path, capsys):
+    existing = tmp_path / "report.txt"
+    existing.write_text("previous\n")
+    absent = tmp_path / "absent.txt"
+    for target in (existing, absent):
+        code, _, err = run(
+            capsys, "verify", "--N", "7", "--kind", "logarithm", "--k", "2", "--out", str(target),
+        )
+        assert code == EXIT_CAPACITY
+        assert "capacity" in err
+    assert existing.read_text() == "previous\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["report.txt"]  # no partial file left
+
+
+def test_out_to_a_device_writes_through_it(capsys):
+    code, out, err = run(
+        capsys, "table", "--norm", "ell", "--N", "2", "--k", "2", "--out", os.devnull,
+    )
+    assert (code, out, err) == (EXIT_OK, "", "")
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)  # still the device, not a file
+
+
+def test_out_through_a_symlink_keeps_the_link_and_the_mode(tmp_path, capsys):
+    real = tmp_path / "real.csv"
+    real.write_text("previous\n")
+    real.chmod(0o640)
+    link = tmp_path / "link.csv"
+    link.symlink_to(real)
+    code, _, _ = run(
+        capsys, "table", "--norm", "ell", "--N", "2", "--k", "2", "--format", "csv",
+        "--out", str(link),
+    )
+    assert code == EXIT_OK
+    assert link.is_symlink()
+    assert real.read_text() == "N,k,s,closed\n2,2,,2\n"
+    assert stat.S_IMODE(real.stat().st_mode) == 0o640

@@ -24,7 +24,7 @@ from radnorm.constants import (
     power_coeffs,
     taylor_compose_norm_sq,
 )
-from radnorm.exactnum import binomial, factorial, pochhammer
+from radnorm.exactnum import POCHHAMMER_CACHE_SIZE, binomial, factorial, pochhammer
 
 # ---------------------------------------------------------------------------
 # closed forms: frozen values
@@ -258,6 +258,28 @@ def test_norm_kind_validation():
         NormKind("weird")
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda s: gamma_closed(2, s, 2),
+        lambda s: gamma_1d(s, 2),
+        lambda s: gamma_recursive(2, s, 2),
+        power_coeffs,
+        NormKind.power,
+        lambda s: NormKind("power", s),
+        lambda s: taylor_compose_norm_sq(2, 2, lambda p: s),
+    ],
+    ids=[
+        "gamma_closed", "gamma_1d", "gamma_recursive", "power_coeffs", "NormKind.power",
+        "NormKind", "taylor_compose_norm_sq",
+    ],
+)
+@pytest.mark.parametrize("s", [0.1, 2.0, float("nan"), True, False], ids=repr)
+def test_inexact_and_bool_values_are_rejected(entry, s):
+    with pytest.raises(TypeError):
+        entry(s)
+
+
 def test_constant_query_validation():
     ConstantQuery(2, 0, NormKind.power(1))
     with pytest.raises(ValueError):
@@ -291,3 +313,22 @@ def test_evaluate_query_dispatch():
         evaluate_query(ConstantQuery(4, 2, NormKind.power(1)), "special")
     with pytest.raises(ValueError):
         evaluate_query(q, "oracle")
+
+
+# ---------------------------------------------------------------------------
+# memory
+
+
+def test_pochhammer_cache_does_not_grow_with_fresh_exponents():
+    assert pochhammer.cache_info().maxsize == POCHHAMMER_CACHE_SIZE
+    n, k = 7, 40
+    gamma_closed(n, Fraction(1, 3), k)
+    gamma_recursive(n, Fraction(1, 3), k)
+    before = pochhammer.cache_info()
+    for i in range(50):
+        s = Fraction(2 * i + 1, 11)
+        gamma_closed(n, s, k)
+        gamma_recursive(n, s, k)
+    after = pochhammer.cache_info()
+    assert after.currsize == before.currsize
+    assert after.misses == before.misses  # nothing was added and evicted either
