@@ -40,6 +40,7 @@ from .symdiff import (
     is_zero_function,
     laplacian_recursion_check,
     random_rational,
+    rescaled_grad_norms,
     seed as seed_terms,
     tilde_norm_sq,
     TermSum,
@@ -109,8 +110,7 @@ def _decimal_str(value: Fraction) -> str:
 
 
 def _oracle_constant(n: int, kind: NormKind, k: int, seed: int) -> Fraction:
-    points = default_sample_points(n, seed)
-    values = [grad_norm_sq(n, kind, k, p, rescaled=True) for p in points]
+    values = rescaled_grad_norms(n, kind, k, default_sample_points(n, seed))
     if len(set(values)) > 1:
         raise _OracleMismatch(
             f"oracle values differ across sample points for n={n}, k={k}, {kind}"
@@ -228,6 +228,7 @@ def _render_verify(report: VerifyReport, fmt: str, out: TextIO, timing: bool) ->
         }
         if timing:
             payload["report"]["elapsed_ms"] = report.elapsed_ms
+            payload["report"]["stage_ms"] = report.stage_ms
         json.dump(payload, out, indent=2)
         out.write("\n")
     elif fmt == "csv":
@@ -240,6 +241,8 @@ def _render_verify(report: VerifyReport, fmt: str, out: TextIO, timing: bool) ->
         writer.writerow(["verdict", report.verdict])
         if timing:
             writer.writerow(["elapsed_ms", f"{report.elapsed_ms:.3f}"])
+            for stage, ms in report.stage_ms.items():
+                writer.writerow([f"{stage}_ms", f"{ms:.3f}"])
     else:
         out.write(f"query: N={report.query.dimension} k={report.query.order} {kind}\n")
         for m, v in report.method_values.items():
@@ -252,6 +255,8 @@ def _render_verify(report: VerifyReport, fmt: str, out: TextIO, timing: bool) ->
             out.write(f"detail: {report.detail}\n")
         if timing:
             out.write(f"elapsed_ms: {report.elapsed_ms:.3f}\n")
+            for stage, ms in report.stage_ms.items():
+                out.write(f"{stage}_ms: {ms:.3f}\n")
 
 
 def cmd_verify(
@@ -515,7 +520,7 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--s", default=None, help="exponent (power kind only)")
     v.add_argument("--k", type=int, required=True)
     v.add_argument("--points", default=None, help="semicolon-separated rational vectors")
-    v.add_argument("--timing", action="store_true", help="include elapsed time in the report")
+    v.add_argument("--timing", action="store_true", help="include total and per-stage times in the report")
     common(v)
 
     i = sub.add_parser("identities", help="run the combinatorial identity suite")

@@ -338,7 +338,7 @@ def half_identity_check(nu, m: int) -> bool:
     """
     if m < 0:
         raise ValueError("m must be >= 0")
-    nu = Fraction(nu)
+    nu = as_rational(nu)
     lhs = Fraction(0)
     for l in range(m + 1):
         lhs += (

@@ -1,4 +1,4 @@
-"""Brute-force symbolic oracle for derivatives of radial powers and log|x|.
+"""Brute-force oracle for derivatives of radial powers and log|x|.
 
 Functions are finite sums of terms
 
@@ -11,30 +11,28 @@ class is closed under partial differentiation:
 
     d/dx_i [x^beta r^t] = beta_i x^(beta - e_i) r^t + t x^(beta + e_i) r^(t-2).
 
-Since every differentiation step keeps ``j`` even, dividing the common r^b
-factor out symbolically leaves only integer powers of r^2, so evaluation at
-a rational point is exact.
+Every step keeps ``j`` even, so dividing the common r^b factor out leaves
+only integer powers of r^2.  log r lies outside the class, so logarithm-kind
+computations seed at order 1 with the gradient components x_i * r^(-2).
 
-Log handling: log r itself is not of the form above, so logarithm-kind
-computations seed at derivative order 1 with the n gradient components
-x_i * r^(-2) and differentiate k-1 more times.
-
-Terms are kept in canonical sorted-merged form.  Two sums represent the same
-function when they agree modulo the relation r^2 = sum x_i^2; the check
-``functions_equal`` clears negative powers of r^2 and substitutes that
-relation to reach a genuinely canonical polynomial form.
+``TermSum`` keeps such sums canonical, with Fraction coefficients, for the
+symbolic identities; ``functions_equal`` clears negative powers of r^2 and
+substitutes r^2 = sum x_i^2 to reach a canonical polynomial form.  The
+pointwise norms apply the same rule in integers: one depth-first walk
+differentiates each sorted axis multiset from its prefix, holds only the
+current path and evaluates every leaf at all points at once (``_leaf_values``).
 """
 
 from __future__ import annotations
 
 import random
 import time
-from collections import defaultdict
-from dataclasses import dataclass
+from collections import Counter, defaultdict
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
-from math import comb
+from math import comb, lcm, prod
 from typing import Iterable, Mapping, Sequence
 
 from .constants import (
@@ -46,7 +44,7 @@ from .constants import (
     gamma_recursive,
     gamma_special,
 )
-from .exactnum import Rational, factorial, format_rational, rational_pow
+from .exactnum import Rational, as_rational, factorial, format_rational, rational_pow
 
 __all__ = [
     "MAX_DIMENSION",
@@ -63,6 +61,7 @@ __all__ = [
     "derivative",
     "grad_norm_sq",
     "grad_norm_sq_symbolic",
+    "rescaled_grad_norms",
     "tilde_norm_sq",
     "verify_constancy",
     "dimension_split_check",
@@ -202,12 +201,12 @@ class TermSum:
 
 @dataclass(frozen=True)
 class SamplePoint:
-    """A rational point of R^n, never the origin."""
+    """A rational point of R^n, never the origin; floats and bools raise TypeError."""
 
     coords: tuple[Rational, ...]
 
     def __post_init__(self):
-        coords = tuple(Fraction(c) for c in self.coords)
+        coords = tuple(as_rational(c) for c in self.coords)
         if not coords:
             raise ValueError("a sample point needs at least one coordinate")
         if all(c == 0 for c in coords):
@@ -235,6 +234,8 @@ class VerifyReport:
     verdict: str = "exact-match"
     detail: str | None = None
     elapsed_ms: float = 0.0
+    # Wall time per stage ("oracle", "closed", "recursive"); sums to elapsed_ms.
+    stage_ms: dict[str, float] = field(default_factory=dict)
 
     @property
     def exact_match(self) -> bool:
@@ -282,21 +283,6 @@ def laplacian(u: TermSum) -> TermSum:
     return u.laplacian()
 
 
-@lru_cache(maxsize=None)
-def _derivative_cached(n: int, kind: NormKind, axes: tuple[int, ...]) -> TermSum:
-    # Mixed partials of these smooth functions commute, so the sorted
-    # multiset of axes is a sound cache key.
-    if kind.is_power:
-        u = seed(n, kind)[0]
-        rest = axes
-    else:
-        u = seed(n, kind)[axes[-1] - 1]
-        rest = axes[:-1]
-    for axis in rest:
-        u = u.differentiate(axis)
-    return u
-
-
 def derivative(n: int, kind: NormKind, axes: Sequence[int]) -> TermSum:
     """The mixed partial D_axes of |x|^s or log|x| on R^n, as a TermSum.
 
@@ -308,14 +294,23 @@ def derivative(n: int, kind: NormKind, axes: Sequence[int]) -> TermSum:
         raise ValueError(f"axes {axes} out of range 1..{n}")
     if not kind.is_power and not axes:
         raise ValueError("the logarithm function itself is outside the term class")
-    return _derivative_cached(n, kind, tuple(sorted(axes)))
+    if kind.is_power:
+        u = seed(n, kind)[0]
+        rest = axes
+    else:
+        u = seed(n, kind)[axes[-1] - 1]
+        rest = axes[:-1]
+    for axis in rest:
+        u = u.differentiate(axis)
+    return u
 
 
-def _multiset_weight(k: int, combo: tuple[int, ...]) -> int:
-    weight = factorial(k)
-    for axis in set(combo):
-        weight //= factorial(combo.count(axis))
-    return weight
+def _multiset_weights(n: int, k: int) -> dict[tuple[int, ...], int]:
+    """k!/prod(multiplicities!) for every sorted multiset of k axes in 1..n."""
+    weights = {}
+    for combo in combinations_with_replacement(range(1, n + 1), k):
+        weights[combo] = factorial(k) // prod(factorial(combo.count(a)) for a in set(combo))
+    return weights
 
 
 def _validate_norm_args(n: int, kind: NormKind, k: int, point: SamplePoint | None) -> None:
@@ -330,12 +325,84 @@ def _validate_norm_args(n: int, kind: NormKind, k: int, point: SamplePoint | Non
     _check_scale(n, k)
 
 
-def _reduced_squares(n: int, kind: NormKind, k: int, point: SamplePoint) -> dict[tuple[int, ...], Rational]:
-    """Squared reduced value of D_axes at the point, per sorted axis multiset."""
-    return {
-        combo: derivative(n, kind, combo).evaluate_reduced(point) ** 2
-        for combo in combinations_with_replacement(range(1, n + 1), k)
-    }
+def _step(terms: dict, i: int, a: int, b: int) -> dict:
+    """``TermSum.differentiate`` times b, on the integer terms of ``_leaf_values``."""
+    out: dict[tuple[tuple[int, ...], int], int] = {}
+    for (beta, u), c in terms.items():
+        e = beta[i]
+        if e:
+            key = (beta[:i] + (e - 1,) + beta[i + 1:], u)
+            out[key] = out.get(key, 0) + c * e * b
+        t = a - 2 * u * b
+        if t:
+            key = (beta[:i] + (e + 1,) + beta[i + 1:], u + 1)
+            out[key] = out.get(key, 0) + c * t
+    return {key: c for key, c in out.items() if c}
+
+
+def _leaf_values(
+    n: int, kind: NormKind, k: int, points: Sequence[SamplePoint]
+) -> tuple[dict[tuple[int, ...], list[int]], list[int]]:
+    """Every k-th partial at every point, from one depth-first walk.
+
+    A node holds {(beta, u): c} for sum c x^beta r^(s - 2u) / b^depth with
+    s = a/b (a = 0, b = 1 for log|x|).  A child is its parent differentiated
+    along an axis >= the parent's last, so only the current path is held.
+    With P = Q x integer over the common denominator Q and R = |P|^2,
+    homogeneity (|beta| - 2u = -k) gives D_combo u / r^s = Q^k S / (b R)^k
+    with S = sum c P^beta R^(k-u), and r^(2k) (D_combo u / r^s)^2 =
+    S^2 / (b^(2k) R^k).  Returns {combo: [S per point]} over the sorted
+    1-based multisets, and b^(2k) R^k per point.
+    """
+    a, b = (kind.s.numerator, kind.s.denominator) if kind.is_power else (0, 1)
+    tables, scales = [], []
+    for point in points:
+        q = lcm(*(c.denominator for c in point.coords))
+        coords = [c.numerator * (q // c.denominator) for c in point.coords]
+        r = sum(x * x for x in coords)
+        tables.append(([[x ** e for e in range(k + 1)] for x in coords],
+                       [r ** (k - u) for u in range(k + 1)]))
+        scales.append(b ** (2 * k) * r ** k)
+    leaves: dict[tuple[int, ...], list[int]] = {}
+
+    def walk(terms: dict, combo: tuple[int, ...]) -> None:
+        if len(combo) < k:
+            for axis in range(combo[-1] if combo else 1, n + 1):
+                walk(_step(terms, axis - 1, a, b), combo + (axis,))
+            return
+        values = leaves[combo] = [0] * len(tables)
+        for (beta, u), c in terms.items():
+            for i, (powers, radial) in enumerate(tables):
+                value = c * radial[u]
+                for power, e in zip(powers, beta):
+                    if e:
+                        value *= power[e]
+                values[i] += value
+
+    if kind.is_power:
+        walk({((0,) * n, 0): 1}, ())
+    else:
+        for i in range(n):
+            walk({(tuple(int(j == i) for j in range(n)), 1): 1}, (i + 1,))
+    return leaves, scales
+
+
+def _rescaled_sums(
+    n: int, kind: NormKind, k: int, points: Sequence[SamplePoint], weights: Mapping[tuple[int, ...], int]
+) -> list[Rational]:
+    """r^(2k) sum_combo weight (D_combo u / r^s)^2, per point."""
+    leaves, scales = _leaf_values(n, kind, k, points)
+    totals = [0] * len(points)
+    for combo, weight in weights.items():
+        for i, value in enumerate(leaves[combo]):
+            totals[i] += weight * value * value
+    return [Fraction(total, scale) for total, scale in zip(totals, scales)]
+
+
+def _unrescale(kind: NormKind, k: int, point: SamplePoint, value: Rational) -> Rational:
+    r_sq = point.r_sq
+    base = kind.s if kind.is_power else Fraction(0)
+    return rational_pow(r_sq, base) * value / r_sq ** k
 
 
 def grad_norm_sq(
@@ -363,18 +430,19 @@ def grad_norm_sq(
     _validate_norm_args(n, kind, k, point)
     if weighted is None:
         weighted = k >= 5
-    squares = _reduced_squares(n, kind, k, point)
     if weighted:
-        reduced = sum(_multiset_weight(k, combo) * sq for combo, sq in squares.items())
+        weights = _multiset_weights(n, k)
     else:
-        reduced = Fraction(0)
-        for tup in product(range(1, n + 1), repeat=k):
-            reduced += squares[tuple(sorted(tup))]
-    r_sq = point.r_sq
-    if rescaled:
-        return r_sq ** k * reduced
-    base = kind.s if kind.is_power else Fraction(0)
-    return rational_pow(r_sq, base) * reduced
+        weights = Counter(tuple(sorted(tup)) for tup in product(range(1, n + 1), repeat=k))
+    (value,) = _rescaled_sums(n, kind, k, [point], weights)
+    return value if rescaled else _unrescale(kind, k, point, value)
+
+
+def rescaled_grad_norms(n: int, kind: NormKind, k: int, points: Sequence[SamplePoint]) -> list[Rational]:
+    """``grad_norm_sq(n, kind, k, p, rescaled=True)`` at every point, from one walk."""
+    for point in points:
+        _validate_norm_args(n, kind, k, point)
+    return _rescaled_sums(n, kind, k, points, _multiset_weights(n, k))
 
 
 def tilde_norm_sq(
@@ -393,12 +461,9 @@ def tilde_norm_sq(
     _validate_norm_args(n, kind, k, point)
     if k < 1:
         raise ValueError("tilde norm needs order >= 1")
-    reduced = sum(_reduced_squares(n, kind, k, point).values())
-    r_sq = point.r_sq
-    if rescaled:
-        return r_sq ** k * reduced
-    base = kind.s if kind.is_power else Fraction(0)
-    return rational_pow(r_sq, base) * reduced
+    weights = dict.fromkeys(combinations_with_replacement(range(1, n + 1), k), 1)
+    (value,) = _rescaled_sums(n, kind, k, [point], weights)
+    return value if rescaled else _unrescale(kind, k, point, value)
 
 
 def grad_norm_sq_symbolic(n: int, kind: NormKind, k: int) -> TermSum:
@@ -409,9 +474,9 @@ def grad_norm_sq_symbolic(n: int, kind: NormKind, k: int) -> TermSum:
     """
     _validate_norm_args(n, kind, k, None)
     total: TermSum | None = None
-    for combo in combinations_with_replacement(range(1, n + 1), k):
+    for combo, weight in _multiset_weights(n, k).items():
         u = derivative(n, kind, combo)
-        square = u.multiply(u).scale(_multiset_weight(k, combo))
+        square = u.multiply(u).scale(weight)
         total = square if total is None else total + square
     assert total is not None
     return total
@@ -444,27 +509,25 @@ def verify_constancy(
             raise ValueError("need at least two sample points")
         if all(_proportional(p, q) for p in points for q in points):
             raise ValueError("sample points must not all be proportional")
-    _validate_norm_args(n, kind, k, points[0])
 
     start = time.perf_counter()
-    point_values = [(p, grad_norm_sq(n, kind, k, p, rescaled=True)) for p in points]
-    if kind.is_power:
-        methods = {
-            "closed": gamma_closed(n, kind.s, k),
-            "recursive": gamma_recursive(n, kind.s, k),
-        }
-    else:
-        methods = {
-            "closed": ell_closed(n, k),
-            "recursive": ell_recursive(n, k),
-        }
-    elapsed_ms = (time.perf_counter() - start) * 1000.0
+    point_values = list(zip(points, rescaled_grad_norms(n, kind, k, points)))
+    oracle_end = time.perf_counter()
+    closed = gamma_closed(n, kind.s, k) if kind.is_power else ell_closed(n, k)
+    closed_end = time.perf_counter()
+    recursive = gamma_recursive(n, kind.s, k) if kind.is_power else ell_recursive(n, k)
+    end = time.perf_counter()
 
     report = VerifyReport(
         query=ConstantQuery(n, k, kind),
-        method_values=methods,
+        method_values={"closed": closed, "recursive": recursive},
         point_values=point_values,
-        elapsed_ms=elapsed_ms,
+        elapsed_ms=(end - start) * 1000.0,
+        stage_ms={
+            "oracle": (oracle_end - start) * 1000.0,
+            "closed": (closed_end - oracle_end) * 1000.0,
+            "recursive": (end - closed_end) * 1000.0,
+        },
     )
     distinct = {value for _, value in point_values}
     if len(distinct) > 1:
@@ -474,7 +537,7 @@ def verify_constancy(
         )
     else:
         oracle = next(iter(distinct))
-        wrong = {m: v for m, v in methods.items() if v != oracle}
+        wrong = {m: v for m, v in report.method_values.items() if v != oracle}
         if wrong:
             report.verdict = "mismatch"
             report.detail = (
@@ -490,8 +553,8 @@ def dimension_split_check(n: int, kind: NormKind, k: int, point: SamplePoint) ->
         sum_{i in I_n^k} (D_i u)^2
             = sum_j C(k,j) * sum_{i' in I_(n-1)^j} (D_i' D_n^(k-j) u)^2.
 
-    Both sides are evaluated exactly (reduced by the common r factor); a
-    correct implementation always returns True.
+    Both sides are evaluated exactly; a correct implementation always
+    returns True.
     """
     if n < 2:
         raise ValueError("splitting needs dimension >= 2")
@@ -499,23 +562,15 @@ def dimension_split_check(n: int, kind: NormKind, k: int, point: SamplePoint) ->
         raise ValueError("splitting checks need order >= 1")
     _validate_norm_args(n, kind, k, point)
 
-    cache: dict[tuple[int, ...], Rational] = {}
-
-    def value_sq(axes: tuple[int, ...]) -> Rational:
-        key = tuple(sorted(axes))
-        if key not in cache:
-            cache[key] = derivative(n, kind, key).evaluate_reduced(point) ** 2
-        return cache[key]
-
-    lhs = Fraction(0)
-    for tup in product(range(1, n + 1), repeat=k):
-        lhs += value_sq(tup)
-    rhs = Fraction(0)
-    for j in range(k + 1):
-        inner = Fraction(0)
-        for tup in product(range(1, n), repeat=j):
-            inner += value_sq(tup + (n,) * (k - j))
-        rhs += comb(k, j) * inner
+    # All values share the positive scale Q^k / (b R)^k: compare integer sums.
+    leaves, _ = _leaf_values(n, kind, k, [point])
+    squares = {combo: value * value for combo, (value,) in leaves.items()}
+    lhs = sum(squares[tuple(sorted(tup))] for tup in product(range(1, n + 1), repeat=k))
+    rhs = sum(
+        comb(k, j) * sum(squares[tuple(sorted(tup)) + (n,) * (k - j)]
+                         for tup in product(range(1, n), repeat=j))
+        for j in range(k + 1)
+    )
     return lhs == rhs
 
 

@@ -173,6 +173,30 @@ def test_verify_csv(capsys):
     assert lines[-1] == "verdict,exact-match"
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
+def test_verify_timing_adds_stages_and_nothing_else(capsys, fmt):
+    argv = ["verify", "--N", "3", "--kind", "power", "--s", "1/2", "--k", "3", "--format", fmt]
+    code, plain_out, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    assert "_ms" not in plain_out
+    code, timed_out, _ = run(capsys, *argv, "--timing")
+    assert code == EXIT_OK
+    stages = ["oracle", "closed", "recursive"]
+    if fmt == "json":
+        timed = json.loads(timed_out)
+        report = timed["report"]
+        assert list(report.pop("stage_ms")) == stages
+        assert report.pop("elapsed_ms") >= 0
+        assert timed == json.loads(plain_out)
+    else:
+        sep = "," if fmt == "csv" else ": "
+        lines = timed_out.splitlines()
+        timing = [line for line in lines if "_ms" in line]
+        assert [line.split(sep)[0] for line in timing] == ["elapsed_ms"] + [f"{s}_ms" for s in stages]
+        assert all(float(line.split(sep)[1]) >= 0 for line in timing)
+        assert [line for line in lines if "_ms" not in line] == plain_out.splitlines()
+
+
 # ---------------------------------------------------------------------------
 # identities
 

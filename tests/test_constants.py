@@ -25,6 +25,7 @@ from radnorm.constants import (
     taylor_compose_norm_sq,
 )
 from radnorm.exactnum import POCHHAMMER_CACHE_SIZE, binomial, factorial, pochhammer
+from radnorm.symdiff import SamplePoint
 
 # ---------------------------------------------------------------------------
 # closed forms: frozen values
@@ -268,10 +269,12 @@ def test_norm_kind_validation():
         NormKind.power,
         lambda s: NormKind("power", s),
         lambda s: taylor_compose_norm_sq(2, 2, lambda p: s),
+        lambda s: SamplePoint((s, Fraction(1, 2))),
+        lambda s: half_identity_check(s, 2),
     ],
     ids=[
         "gamma_closed", "gamma_1d", "gamma_recursive", "power_coeffs", "NormKind.power",
-        "NormKind", "taylor_compose_norm_sq",
+        "NormKind", "taylor_compose_norm_sq", "SamplePoint", "half_identity_check",
     ],
 )
 @pytest.mark.parametrize("s", [0.1, 2.0, float("nan"), True, False], ids=repr)
