@@ -12,13 +12,14 @@ import io
 import json
 import random
 import sys
-from dataclasses import dataclass, field
+from collections import namedtuple
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Sequence, TextIO
 
 from . import __version__
 from .constants import (
+    METHODS,
     NormKind,
     ell2_special,
     ell_closed,
@@ -36,7 +37,6 @@ from .symdiff import (
     default_sample_points,
     dimension_split_check,
     functions_equal,
-    grad_norm_sq,
     is_zero_function,
     laplacian_recursion_check,
     random_rational,
@@ -53,7 +53,6 @@ EXIT_MISMATCH = 2
 EXIT_CAPACITY = 3
 
 FORMATS = ("json", "csv", "plain")
-METHOD_ORDER = ("closed", "recursive", "special", "oracle")
 ORACLE_TABLE_MAX_K = 5  # above this, table rows skip the oracle unless forced
 
 
@@ -61,42 +60,44 @@ class _UsageError(ValueError):
     pass
 
 
-@dataclass
 class TableRequest:
-    norm: str
-    n_range: tuple[int, int]
-    k_range: tuple[int, int]
-    s_values: list[Fraction] | None
-    methods: list[str] = field(default_factory=lambda: ["closed"])
-    fmt: str = "plain"
-    seed: int = 0
-    decimal: bool = False
-    force_oracle: bool = False
-
-    def __post_init__(self):
-        if self.norm not in ("gamma", "ell"):
-            raise _UsageError(f"unknown norm {self.norm!r}")
-        for lo, hi in (self.n_range, self.k_range):
+    def __init__(
+        self,
+        norm: str,
+        n_range: tuple[int, int],
+        k_range: tuple[int, int],
+        s_values: list[Fraction] | None,
+        methods: Sequence[str] = ("closed",),
+        fmt: str = "plain",
+        seed: int = 0,
+        decimal: bool = False,
+        force_oracle: bool = False,
+    ):
+        if norm not in ("gamma", "ell"):
+            raise _UsageError(f"unknown norm {norm!r}")
+        for lo, hi in (n_range, k_range):
             if lo > hi:
                 raise _UsageError("empty range")
-        if self.n_range[0] < 1:
+        if n_range[0] < 1:
             raise _UsageError("dimension range must start at 1 or above")
-        if self.k_range[0] < 0:
+        if k_range[0] < 0:
             raise _UsageError("order range must start at 0 or above")
-        if self.norm == "ell" and self.k_range[0] < 1:
+        if norm == "ell" and k_range[0] < 1:
             raise _UsageError("ell tables need k >= 1")
-        if self.norm == "gamma" and not self.s_values:
+        if norm == "gamma" and not s_values:
             raise _UsageError("gamma tables need at least one s value")
-        if self.norm == "ell" and self.s_values:
+        if norm == "ell" and s_values:
             raise _UsageError("ell tables take no s values")
-        if self.fmt not in FORMATS:
-            raise _UsageError(f"unknown format {self.fmt!r}")
-        bad = [m for m in self.methods if m not in METHOD_ORDER]
+        if fmt not in FORMATS:
+            raise _UsageError(f"unknown format {fmt!r}")
+        bad = [m for m in methods if m not in METHODS]
         if bad:
             raise _UsageError(f"unknown methods: {', '.join(bad)}")
-        if not self.methods:
+        if not methods:
             raise _UsageError("at least one method is required")
-        self.methods = [m for m in METHOD_ORDER if m in self.methods]
+        self.norm, self.n_range, self.k_range, self.s_values = norm, n_range, k_range, s_values
+        self.methods = [m for m in METHODS if m in methods]
+        self.fmt, self.seed, self.decimal, self.force_oracle = fmt, seed, decimal, force_oracle
 
 
 class _OracleMismatch(Exception):
@@ -110,7 +111,7 @@ def _decimal_str(value: Fraction) -> str:
 
 
 def _oracle_constant(n: int, kind: NormKind, k: int, seed: int) -> Fraction:
-    values = rescaled_grad_norms(n, kind, k, default_sample_points(n, seed))
+    values = rescaled_grad_norms(n, kind, k, default_sample_points(n, seed), weighted=True)
     if len(set(values)) > 1:
         raise _OracleMismatch(
             f"oracle values differ across sample points for n={n}, k={k}, {kind}"
@@ -278,11 +279,10 @@ def cmd_verify(
     return EXIT_OK if report.exact_match else EXIT_MISMATCH
 
 
-@dataclass
-class IdentitySection:
-    name: str
-    status: str  # PASS | FAIL | SKIP
-    detail: str = ""
+class IdentitySection(namedtuple("IdentitySection", "name status detail", defaults=("",))):
+    """One section of the identity suite; status is PASS, FAIL or SKIP."""
+
+    __slots__ = ()
 
 
 def _run_identities(max_m: int, max_n: int, max_k: int, trials: int, seed: int) -> list[IdentitySection]:
@@ -339,12 +339,10 @@ def _run_identities(max_m: int, max_n: int, max_k: int, trials: int, seed: int) 
                 points.append(SamplePoint(coords))
         for kind in kinds:
             for k in range(1, min(max_k, 4) + 1):
-                for point in points:
-                    checked += 1
-                    a = grad_norm_sq(n, kind, k, point, weighted=True, rescaled=True)
-                    b = grad_norm_sq(n, kind, k, point, weighted=False, rescaled=True)
-                    if a != b:
-                        failures += 1
+                a = rescaled_grad_norms(n, kind, k, points, weighted=True)
+                b = rescaled_grad_norms(n, kind, k, points, weighted=False)
+                checked += len(points)
+                failures += sum(x != y for x, y in zip(a, b))
     sections.append(
         IdentitySection(
             "weighted-agreement",

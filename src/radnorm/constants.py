@@ -21,10 +21,10 @@ or keyed on (n, m) only; none is keyed on s.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm
+from math import comb, lcm, prod
 from typing import Callable
 
 from .exactnum import Rational, as_rational, binomial, factorial, format_rational, pochhammer
@@ -54,23 +54,22 @@ __all__ = [
 METHODS = ("closed", "recursive", "special", "oracle")
 
 
-@dataclass(frozen=True)
-class NormKind:
+class NormKind(namedtuple("NormKind", "variant s", defaults=(None,))):
     """Which function family is queried: |x|^s (power) or log|x|."""
 
-    variant: str
-    s: Rational | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.variant == "power":
-            if self.s is None:
+    def __new__(cls, variant: str, s: Rational | None = None):
+        if variant == "power":
+            if s is None:
                 raise ValueError("power kind requires an exponent s")
-            object.__setattr__(self, "s", as_rational(self.s))
-        elif self.variant == "logarithm":
-            if self.s is not None:
+            s = as_rational(s)
+        elif variant == "logarithm":
+            if s is not None:
                 raise ValueError("logarithm kind takes no exponent")
         else:
-            raise ValueError(f"unknown kind {self.variant!r}")
+            raise ValueError(f"unknown kind {variant!r}")
+        return super().__new__(cls, variant, s)
 
     @classmethod
     def power(cls, s) -> "NormKind":
@@ -90,38 +89,34 @@ class NormKind:
         return "logarithm"
 
 
-@dataclass(frozen=True)
-class ConstantQuery:
+class ConstantQuery(namedtuple("ConstantQuery", "dimension order kind")):
     """A (dimension, derivative order, kind) triple identifying one constant."""
 
-    dimension: int
-    order: int
-    kind: NormKind
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.dimension < 1:
+    def __new__(cls, dimension: int, order: int, kind: NormKind):
+        if dimension < 1:
             raise ValueError("dimension must be >= 1")
-        if self.order < 0:
+        if order < 0:
             raise ValueError("derivative order must be >= 0")
-        if not self.kind.is_power and self.order < 1:
+        if not kind.is_power and order < 1:
             raise ValueError("logarithm constants are defined for order >= 1 only")
+        return super().__new__(cls, dimension, order, kind)
 
 
-@dataclass(frozen=True)
-class ConstantValue:
+class ConstantValue(namedtuple("ConstantValue", "query value method")):
     """A computed constant together with the method that produced it."""
 
-    query: ConstantQuery
-    value: Rational
-    method: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}")
-        if self.value < 0:
+    def __new__(cls, query: ConstantQuery, value: Rational, method: str):
+        if method not in METHODS:
+            raise ValueError(f"unknown method {method!r}")
+        if value < 0:
             raise ValueError("a squared norm cannot be negative")
-        if not self.query.kind.is_power and self.value == 0:
+        if not query.kind.is_power and value == 0:
             raise ValueError("logarithm constants are strictly positive")
+        return super().__new__(cls, query, value, method)
 
 
 def _ceil_half(k: int) -> int:
@@ -330,23 +325,30 @@ def ell_recursive(n: int, k: int, deep: bool = False) -> Rational:
     return _recursive_kernel(n, k, *_profile_terms(log_coeffs(), k), even)
 
 
+def _half_identity_sides(nu: Rational, m: int) -> tuple[int, int]:
+    # Both sides of half_identity_check times (4q)^m, nu = p/q, in integers:
+    # q^j (nu+j)_j = prod_{i=1..j} (p + iq), (2q)^m (nu+m+1/2)_m = prod_{i=1..m} (2p + (2i+1)q).
+    p, q = nu.numerator, nu.denominator
+    rising = [1]
+    for i in range(1, m + 1):
+        rising.append(rising[-1] * (p + i * q))
+    lhs = sum(
+        factorial(2 * l) // factorial(l) * comb(m, l) * q ** l * rising[m - l] << 2 * (m - l)
+        for l in range(m + 1)
+    )
+    return lhs, prod(2 * p + (2 * i + 1) * q for i in range(1, m + 1)) << m
+
+
 def half_identity_check(nu, m: int) -> bool:
     """Check sum_l (2l)!/(4^l l!) (nu+m-l)_(m-l) C(m,l) == (nu+m+1/2)_m.
 
-    Both sides are evaluated independently (summation vs. falling factorial);
-    a correct implementation returns True for every rational nu and m >= 0.
+    Both sides are multiplied by (4q)^m, nu = p/q, and evaluated
+    independently in integers (summation vs. product); a correct
+    implementation returns True for every rational nu and m >= 0.
     """
     if m < 0:
         raise ValueError("m must be >= 0")
-    nu = as_rational(nu)
-    lhs = Fraction(0)
-    for l in range(m + 1):
-        lhs += (
-            Fraction(factorial(2 * l), 2 ** (2 * l) * factorial(l))
-            * pochhammer(nu + m - l, m - l)
-            * binomial(m, l)
-        )
-    rhs = pochhammer(nu + m + Fraction(1, 2), m)
+    lhs, rhs = _half_identity_sides(as_rational(nu), m)
     return lhs == rhs
 
 

@@ -27,8 +27,7 @@ from __future__ import annotations
 
 import random
 import time
-from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from collections import Counter, defaultdict, namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
@@ -76,27 +75,25 @@ __all__ = [
 MAX_DIMENSION = 6
 MAX_ORDER = 10
 
+# Entries kept by the (sum x_i^2)^e expansion memo behind functions_equal,
+# keyed on (n, e); the identity suite needs a few dozen.
+EXPANSION_CACHE_SIZE = 64
+
 
 class CapacityError(Exception):
     """A request exceeds the exhaustive-enumeration scale this oracle supports."""
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(namedtuple("Term", "coeff monomial radial_offset")):
     """One summand coeff * x^monomial * r^(base + radial_offset)."""
 
-    coeff: Rational
-    monomial: tuple[int, ...]
-    radial_offset: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class TermSum:
+class TermSum(namedtuple("TermSum", "n_vars radial_base terms")):
     """A canonical finite sum of Terms sharing one radial base exponent."""
 
-    n_vars: int
-    radial_base: Rational
-    terms: tuple[Term, ...]
+    __slots__ = ()
 
     @classmethod
     def build(
@@ -115,12 +112,13 @@ class TermSum:
             if len(monomial) != n_vars or any(e < 0 for e in monomial):
                 raise ValueError(f"bad monomial {monomial} for n_vars={n_vars}")
             merged[(monomial, int(offset))] += Fraction(coeff)
-        terms = tuple(
-            Term(coeff, monomial, offset)
-            for (monomial, offset), coeff in sorted(merged.items())
-            if coeff != 0
-        )
-        return cls(n_vars, Fraction(radial_base), terms)
+        return cls._merged(n_vars, Fraction(radial_base), merged)
+
+    @classmethod
+    def _merged(cls, n_vars: int, radial_base: Rational, merged: Mapping) -> "TermSum":
+        """``build`` for internal callers: valid keys, Fraction coefficients."""
+        terms = tuple(Term(c, monomial, offset) for (monomial, offset), c in sorted(merged.items()) if c)
+        return cls(n_vars, radial_base, terms)
 
     @classmethod
     def zero(cls, n_vars: int, radial_base) -> "TermSum":
@@ -136,12 +134,15 @@ class TermSum:
     def __add__(self, other: "TermSum") -> "TermSum":
         if self.n_vars != other.n_vars or self.radial_base != other.radial_base:
             raise ValueError("cannot add sums with different dimension or radial base")
-        entries = [((t.monomial, t.radial_offset), t.coeff) for t in self.terms + other.terms]
-        return TermSum.build(self.n_vars, self.radial_base, entries)
+        entries: dict[tuple[tuple[int, ...], int], Fraction] = defaultdict(Fraction)
+        for t in self.terms + other.terms:
+            entries[(t.monomial, t.radial_offset)] += t.coeff
+        return TermSum._merged(self.n_vars, self.radial_base, entries)
 
     def scale(self, factor) -> "TermSum":
-        entries = [((t.monomial, t.radial_offset), t.coeff * Fraction(factor)) for t in self.terms]
-        return TermSum.build(self.n_vars, self.radial_base, entries)
+        factor = Fraction(factor)
+        entries = {(t.monomial, t.radial_offset): t.coeff * factor for t in self.terms}
+        return TermSum._merged(self.n_vars, self.radial_base, entries)
 
     def multiply(self, other: "TermSum") -> "TermSum":
         """Product of two sums; the radial bases add."""
@@ -152,7 +153,7 @@ class TermSum:
             for b in other.terms:
                 monomial = tuple(x + y for x, y in zip(a.monomial, b.monomial))
                 entries[(monomial, a.radial_offset + b.radial_offset)] += a.coeff * b.coeff
-        return TermSum.build(self.n_vars, self.radial_base + other.radial_base, entries)
+        return TermSum._merged(self.n_vars, self.radial_base + other.radial_base, entries)
 
     def differentiate(self, axis: int) -> "TermSum":
         """Exact partial derivative along 1-based axis; stays in the class."""
@@ -169,7 +170,7 @@ class TermSum:
             if exponent:
                 up = t.monomial[:a] + (e + 1,) + t.monomial[a + 1:]
                 entries[(up, t.radial_offset - 2)] += t.coeff * exponent
-        return TermSum.build(self.n_vars, self.radial_base, entries)
+        return TermSum._merged(self.n_vars, self.radial_base, entries)
 
     def laplacian(self) -> "TermSum":
         """Sum of the n second partials."""
@@ -199,19 +200,18 @@ class TermSum:
         return total
 
 
-@dataclass(frozen=True)
-class SamplePoint:
+class SamplePoint(namedtuple("SamplePoint", "coords")):
     """A rational point of R^n, never the origin; floats and bools raise TypeError."""
 
-    coords: tuple[Rational, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        coords = tuple(as_rational(c) for c in self.coords)
+    def __new__(cls, coords: Iterable):
+        coords = tuple(as_rational(c) for c in coords)
         if not coords:
             raise ValueError("a sample point needs at least one coordinate")
         if all(c == 0 for c in coords):
             raise ValueError("the origin is outside the domain")
-        object.__setattr__(self, "coords", coords)
+        return super().__new__(cls, coords)
 
     @property
     def r_sq(self) -> Rational:
@@ -224,18 +224,23 @@ class SamplePoint:
         return f"({self.text()})"
 
 
-@dataclass
 class VerifyReport:
     """Outcome of one constancy check: oracle values per point vs. formulas."""
 
-    query: ConstantQuery
-    method_values: dict[str, Rational]
-    point_values: list[tuple[SamplePoint, Rational]]
-    verdict: str = "exact-match"
-    detail: str | None = None
-    elapsed_ms: float = 0.0
-    # Wall time per stage ("oracle", "closed", "recursive"); sums to elapsed_ms.
-    stage_ms: dict[str, float] = field(default_factory=dict)
+    def __init__(
+        self,
+        query: ConstantQuery,
+        method_values: dict[str, Rational],
+        point_values: list[tuple[SamplePoint, Rational]],
+        verdict: str = "exact-match",
+        detail: str | None = None,
+        elapsed_ms: float = 0.0,
+        stage_ms: dict[str, float] | None = None,
+    ):
+        self.query, self.method_values, self.point_values = query, method_values, point_values
+        self.verdict, self.detail, self.elapsed_ms = verdict, detail, elapsed_ms
+        # Wall time per stage ("oracle", "closed", "recursive"); sums to elapsed_ms.
+        self.stage_ms = {} if stage_ms is None else stage_ms
 
     @property
     def exact_match(self) -> bool:
@@ -427,22 +432,21 @@ def grad_norm_sq(
     (logarithm) is returned instead, which is always an exact Rational and
     is the point-independent constant.
     """
-    _validate_norm_args(n, kind, k, point)
-    if weighted is None:
-        weighted = k >= 5
-    if weighted:
-        weights = _multiset_weights(n, k)
-    else:
-        weights = Counter(tuple(sorted(tup)) for tup in product(range(1, n + 1), repeat=k))
-    (value,) = _rescaled_sums(n, kind, k, [point], weights)
+    (value,) = rescaled_grad_norms(n, kind, k, [point], weighted)
     return value if rescaled else _unrescale(kind, k, point, value)
 
 
-def rescaled_grad_norms(n: int, kind: NormKind, k: int, points: Sequence[SamplePoint]) -> list[Rational]:
-    """``grad_norm_sq(n, kind, k, p, rescaled=True)`` at every point, from one walk."""
+def rescaled_grad_norms(
+    n: int, kind: NormKind, k: int, points: Sequence[SamplePoint], weighted: bool | None = None
+) -> list[Rational]:
+    """``grad_norm_sq(n, kind, k, p, weighted, rescaled=True)`` at every point, from one walk."""
     for point in points:
         _validate_norm_args(n, kind, k, point)
-    return _rescaled_sums(n, kind, k, points, _multiset_weights(n, k))
+    if weighted or (weighted is None and k >= 5):
+        weights = _multiset_weights(n, k)
+    else:
+        weights = Counter(tuple(sorted(tup)) for tup in product(range(1, n + 1), repeat=k))
+    return _rescaled_sums(n, kind, k, points, weights)
 
 
 def tilde_norm_sq(
@@ -511,7 +515,7 @@ def verify_constancy(
             raise ValueError("sample points must not all be proportional")
 
     start = time.perf_counter()
-    point_values = list(zip(points, rescaled_grad_norms(n, kind, k, points)))
+    point_values = list(zip(points, rescaled_grad_norms(n, kind, k, points, weighted=True)))
     oracle_end = time.perf_counter()
     closed = gamma_closed(n, kind.s, k) if kind.is_power else ell_closed(n, k)
     closed_end = time.perf_counter()
@@ -600,26 +604,14 @@ def laplacian_recursion_check(n: int, k: int) -> bool:
     return functions_equal(lhs, expected)
 
 
-@lru_cache(maxsize=None)
-def _compositions(total: int, parts: int) -> tuple[tuple[int, ...], ...]:
-    if parts == 1:
-        return ((total,),)
-    out = []
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            out.append((head,) + rest)
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=EXPANSION_CACHE_SIZE)
 def _sum_sq_pow(n_vars: int, e: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     """(x_1^2 + ... + x_n^2)^e expanded: pairs (alpha, multinomial coefficient)."""
     out = []
-    for alpha in _compositions(e, n_vars):
-        coeff = factorial(e)
-        for a in alpha:
-            coeff //= factorial(a)
-        out.append((alpha, coeff))
+    for cuts in combinations_with_replacement(range(e + 1), n_vars - 1):
+        # Stars and bars: n_vars - 1 cut points split e into the parts alpha.
+        alpha = tuple(hi - lo for lo, hi in zip((0,) + cuts, cuts + (e,)))
+        out.append((alpha, factorial(e) // prod(factorial(a) for a in alpha)))
     return tuple(out)
 
 

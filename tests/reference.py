@@ -37,3 +37,17 @@ def reference_gamma(n, s, k):
 
 def reference_ell(n, k):
     return reference_norm_sq(n, k, lambda p: Fraction((-1) ** p, 2 * p))
+
+
+def reference_half_sides(nu, m):
+    """Both sides of the half-shift identity, term by term in Fraction:
+    sum_l (2l)!/(4^l l!) (nu+m-l)_(m-l) C(m,l) and (nu+m+1/2)_m."""
+    nu = Fraction(nu)
+    lhs = Fraction(0)
+    for l in range(m + 1):
+        lhs += (
+            Fraction(factorial(2 * l), 2 ** (2 * l) * factorial(l))
+            * pochhammer(nu + m - l, m - l)
+            * binomial(m, l)
+        )
+    return lhs, pochhammer(nu + m + Fraction(1, 2), m)

@@ -11,6 +11,7 @@ from radnorm.constants import (
 )
 from radnorm.exactnum import rational_pow
 from radnorm.symdiff import (
+    EXPANSION_CACHE_SIZE,
     MAX_DIMENSION,
     MAX_ORDER,
     CapacityError,
@@ -32,6 +33,7 @@ from radnorm.symdiff import (
     tilde_norm_sq,
     verify_constancy,
 )
+from radnorm.symdiff import _sum_sq_pow
 
 LOG = NormKind.logarithm()
 
@@ -442,3 +444,16 @@ def test_vanishing_derivatives_of_even_powers():
             for k in range(2 * m + 1, 2 * m + 4):
                 axes = tuple((i % n) + 1 for i in range(k))
                 assert derivative(n, kind, axes).is_zero()
+
+
+def test_functions_equal_keeps_the_expansion_cache_bounded():
+    n = 4
+    for e in (20, 40, 60):
+        a = TermSum.single(n, 0, (0,) * n, 0, 1)
+        b = TermSum.single(n, 0, (0,) * n, 2 * e, 1)
+        assert not functions_equal(a, b)
+        assert _sum_sq_pow.cache_info().currsize <= EXPANSION_CACHE_SIZE
+    assert _sum_sq_pow.cache_info().maxsize == EXPANSION_CACHE_SIZE
+    for e in range(2 * EXPANSION_CACHE_SIZE):
+        _sum_sq_pow(2, e)
+    assert _sum_sq_pow.cache_info().currsize == EXPANSION_CACHE_SIZE
