@@ -1,7 +1,7 @@
 """Command-line front end: constant tables, verification runs, identity suites.
 
-Exit status contract: 0 success, 1 usage error, 2 verification mismatch
-(or a failed identity), 3 capacity exceeded.
+Exit status contract: 0 success, 1 usage error (or stdout closed early),
+2 verification mismatch (or a failed identity), 3 capacity exceeded.
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import random
 import sys
 from collections import namedtuple
@@ -18,22 +19,11 @@ from fractions import Fraction
 from typing import Sequence, TextIO
 
 from . import __version__
-from .constants import (
-    METHODS,
-    NormKind,
-    ell2_special,
-    ell_closed,
-    ell_recursive,
-    gamma_closed,
-    gamma_recursive,
-    gamma_special,
-    half_identity_check,
-)
+from .constants import FORMULAS, METHODS, NormKind, half_identity_check
 from .exactnum import format_rational, parse_rational
 from .symdiff import (
     CapacityError,
     SamplePoint,
-    VerifyReport,
     default_sample_points,
     dimension_split_check,
     functions_equal,
@@ -104,6 +94,23 @@ class _OracleMismatch(Exception):
     pass
 
 
+def _emit(out: TextIO, fmt: str, payload: dict, rows: list, plain_lines: list[str]) -> None:
+    """Write one report: ``payload`` and the version as JSON, ``rows`` as CSV, or the lines."""
+    if fmt == "json":
+        json.dump({**payload, "version": __version__}, out, indent=2)
+        out.write("\n")
+    elif fmt == "csv":
+        csv.writer(out, lineterminator="\n").writerows(rows)
+    else:
+        out.writelines(line + "\n" for line in plain_lines)
+
+
+def _aligned(rows: Sequence[Sequence[str]]) -> list[str]:
+    """Left-aligned columns two spaces apart, with trailing blanks stripped."""
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    return ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows]
+
+
 def _decimal_str(value: Fraction) -> str:
     with localcontext() as ctx:
         ctx.prec = 12
@@ -113,151 +120,47 @@ def _decimal_str(value: Fraction) -> str:
 def _oracle_constant(n: int, kind: NormKind, k: int, seed: int) -> Fraction:
     values = rescaled_grad_norms(n, kind, k, default_sample_points(n, seed), weighted=True)
     if len(set(values)) > 1:
-        raise _OracleMismatch(
-            f"oracle values differ across sample points for n={n}, k={k}, {kind}"
-        )
+        raise _OracleMismatch(f"oracle values differ across sample points for n={n}, k={k}, {kind}")
     return values[0]
 
 
 def _table_cell(request: TableRequest, method: str, n: int, k: int, s: Fraction | None):
-    if request.norm == "gamma":
-        kind = NormKind.power(s)
-        if method == "closed":
-            return gamma_closed(n, s, k)
-        if method == "recursive":
-            return gamma_recursive(n, s, k)
-        if method == "special":
-            return gamma_special(n, k) if s == Fraction(-(n - 2)) else None
-    else:
-        kind = NormKind.logarithm()
-        if method == "closed":
-            return ell_closed(n, k)
-        if method == "recursive":
-            return ell_recursive(n, k)
-        if method == "special":
-            return ell2_special(k) if n == 2 else None
-    # method == "oracle"
+    kind = NormKind.power(s) if request.norm == "gamma" else NormKind.logarithm()
+    if method in FORMULAS:
+        return FORMULAS[method](n, kind, k)
     if k > ORACLE_TABLE_MAX_K and not request.force_oracle:
-        return None
-    if request.norm == "ell" and k == 0:
         return None
     return _oracle_constant(n, kind, k, request.seed)
 
 
 def cmd_table(request: TableRequest, out: TextIO | None = None) -> int:
     """Render one row per (N, k[, s]) with one column per requested method."""
-    out = out or sys.stdout
-    rows = []
+    columns = ["N", "k", "s", *request.methods] + (["decimal"] if request.decimal else [])
+    rows = []  # cell texts, "" where a cell is blank
     for n in range(request.n_range[0], request.n_range[1] + 1):
         for k in range(request.k_range[0], request.k_range[1] + 1):
             for s in request.s_values or [None]:
-                row: dict[str, object] = {"N": n, "k": k, "s": s}
-                for method in request.methods:
-                    row[method] = _table_cell(request, method, n, k, s)
-                rows.append(row)
-    columns = ["N", "k", "s"] + list(request.methods)
-    if request.decimal:
-        columns.append("decimal")
-        for row in rows:
-            first = next((row[m] for m in request.methods if row[m] is not None), None)
-            row["decimal"] = first
-
-    def cell_text(row, column):
-        value = row[column]
-        if value is None:
-            return ""
-        if column in ("N", "k"):
-            return str(value)
-        if column == "decimal":
-            return _decimal_str(value)
-        return format_rational(value)
-
-    if request.fmt == "json":
-        json_rows = []
-        for row in rows:
-            entry: dict[str, object] = {"N": row["N"], "k": row["k"]}
-            for column in columns[2:]:
-                entry[column] = cell_text(row, column) or None
-            json_rows.append(entry)
-        payload = {
-            "request": {
-                "norm": request.norm,
-                "N_range": list(request.n_range),
-                "k_range": list(request.k_range),
-                "s_values": [format_rational(s) for s in request.s_values or []],
-                "methods": list(request.methods),
-                "seed": request.seed,
-            },
-            "rows": json_rows,
-            "version": __version__,
-        }
-        json.dump(payload, out, indent=2)
-        out.write("\n")
-    elif request.fmt == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([cell_text(row, c) for c in columns])
-    else:
-        texts = [columns] + [[cell_text(row, c) or "-" for c in columns] for row in rows]
-        widths = [max(len(r[i]) for r in texts) for i in range(len(columns))]
-        for r in texts:
-            out.write("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip() + "\n")
+                values = [_table_cell(request, m, n, k, s) for m in request.methods]
+                texts = ["" if v is None else format_rational(v) for v in [s, *values]]
+                if request.decimal:
+                    first = next((v for v in values if v is not None), None)
+                    texts.append("" if first is None else _decimal_str(first))
+                rows.append([str(n), str(k), *texts])
+    payload = {
+        "request": {
+            "norm": request.norm,
+            "N_range": list(request.n_range),
+            "k_range": list(request.k_range),
+            "s_values": [format_rational(s) for s in request.s_values or []],
+            "methods": list(request.methods),
+            "seed": request.seed,
+        },
+        "rows": [{"N": int(n), "k": int(k), **{c: t or None for c, t in zip(columns[2:], texts)}}
+                 for n, k, *texts in rows],
+    }
+    plain = _aligned([columns] + [[t or "-" for t in row] for row in rows])
+    _emit(out or sys.stdout, request.fmt, payload, [columns, *rows], plain)
     return EXIT_OK
-
-
-def _render_verify(report: VerifyReport, fmt: str, out: TextIO, timing: bool) -> None:
-    kind = report.query.kind
-    if fmt == "json":
-        payload = {
-            "request": {
-                "N": report.query.dimension,
-                "k": report.query.order,
-                "kind": kind.variant,
-                "s": format_rational(kind.s) if kind.is_power else None,
-            },
-            "report": {
-                "methods": {m: format_rational(v) for m, v in report.method_values.items()},
-                "points": [
-                    {"point": [format_rational(c) for c in p.coords], "value": format_rational(v)}
-                    for p, v in report.point_values
-                ],
-                "verdict": report.verdict,
-                "detail": report.detail,
-            },
-            "version": __version__,
-        }
-        if timing:
-            payload["report"]["elapsed_ms"] = report.elapsed_ms
-            payload["report"]["stage_ms"] = report.stage_ms
-        json.dump(payload, out, indent=2)
-        out.write("\n")
-    elif fmt == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["item", "value"])
-        for m, v in report.method_values.items():
-            writer.writerow([m, format_rational(v)])
-        for p, v in report.point_values:
-            writer.writerow([f"oracle@({p.text()})", format_rational(v)])
-        writer.writerow(["verdict", report.verdict])
-        if timing:
-            writer.writerow(["elapsed_ms", f"{report.elapsed_ms:.3f}"])
-            for stage, ms in report.stage_ms.items():
-                writer.writerow([f"{stage}_ms", f"{ms:.3f}"])
-    else:
-        out.write(f"query: N={report.query.dimension} k={report.query.order} {kind}\n")
-        for m, v in report.method_values.items():
-            out.write(f"{m}: {format_rational(v)}\n")
-        out.write("oracle (rescaled):\n")
-        for p, v in report.point_values:
-            out.write(f"  {p} -> {format_rational(v)}\n")
-        out.write(f"verdict: {report.verdict}\n")
-        if report.detail:
-            out.write(f"detail: {report.detail}\n")
-        if timing:
-            out.write(f"elapsed_ms: {report.elapsed_ms:.3f}\n")
-            for stage, ms in report.stage_ms.items():
-                out.write(f"{stage}_ms: {ms:.3f}\n")
 
 
 def cmd_verify(
@@ -271,11 +174,37 @@ def cmd_verify(
     timing: bool = False,
 ) -> int:
     """Run closed, recursive and oracle methods; exit 0 only on exact match."""
-    out = out or sys.stdout
-    if points is None or not points:
-        points = default_sample_points(n, seed)
-    report = verify_constancy(n, kind, k, list(points))
-    _render_verify(report, fmt, out, timing)
+    report = verify_constancy(n, kind, k, list(points or default_sample_points(n, seed)))
+    methods = {m: format_rational(v) for m, v in report.method_values.items()}
+    values = [(p, format_rational(v)) for p, v in report.point_values]
+    payload = {
+        "request": {
+            "N": n,
+            "k": k,
+            "kind": kind.variant,
+            "s": format_rational(kind.s) if kind.is_power else None,
+        },
+        "report": {
+            "methods": methods,
+            "points": [{"point": [format_rational(c) for c in p.coords], "value": v}
+                       for p, v in values],
+            "verdict": report.verdict,
+            "detail": report.detail,
+        },
+    }
+    rows = [["item", "value"], *methods.items()]
+    rows += [[f"oracle@({p.text()})", v] for p, v in values] + [["verdict", report.verdict]]
+    lines = [f"query: N={n} k={k} {kind}", *(f"{m}: {v}" for m, v in methods.items())]
+    lines += ["oracle (rescaled):", *(f"  {p} -> {v}" for p, v in values)]
+    lines.append(f"verdict: {report.verdict}")
+    if report.detail:
+        lines.append(f"detail: {report.detail}")
+    if timing:
+        payload["report"].update(elapsed_ms=report.elapsed_ms, stage_ms=report.stage_ms)
+        stages = [("elapsed", report.elapsed_ms), *report.stage_ms.items()]
+        rows += [[f"{stage}_ms", f"{ms:.3f}"] for stage, ms in stages]
+        lines += [f"{stage}_ms: {ms:.3f}" for stage, ms in stages]
+    _emit(out or sys.stdout, fmt, payload, rows, lines)
     return EXIT_OK if report.exact_match else EXIT_MISMATCH
 
 
@@ -285,135 +214,118 @@ class IdentitySection(namedtuple("IdentitySection", "name status detail", defaul
     __slots__ = ()
 
 
-def _run_identities(max_m: int, max_n: int, max_k: int, trials: int, seed: int) -> list[IdentitySection]:
-    if max_m < 0 or max_n < 1 or max_k < 1 or trials < 1:
-        raise _UsageError("identity bounds must be positive")
-    rng = random.Random(seed)
-    sections: list[IdentitySection] = []
-    power_set = [Fraction(3), Fraction(-1, 2)]
+_Suite = namedtuple("_Suite", "max_m max_n max_k trials seed rng")
+_KINDS = (NormKind.power(3), NormKind.power(Fraction(-1, 2)), NormKind.logarithm())
 
-    # Half-shift product identity over random rational nu.
+
+def _status(ok: bool) -> str:
+    return "PASS" if ok else "FAIL"
+
+
+def _counted(cases):
+    """A section from per-case booleans: SKIP when there are none, else PASS/FAIL."""
+
+    def check(suite: _Suite) -> tuple[str, str]:
+        results = list(cases(suite))
+        if not results:
+            return "SKIP", "requires N >= 2"
+        failures = results.count(False)
+        return _status(not failures), f"{len(results)} cases, {failures} failures"
+
+    return check
+
+
+def _half_identity(suite: _Suite) -> tuple[str, str]:
+    """Half-shift product identity over random rational nu."""
     nus = [Fraction(0), Fraction(1, 2), Fraction(-3, 2)]
-    nus += [random_rational(rng) for _ in range(trials)]
-    failures = sum(
-        not half_identity_check(nu, m) for nu in nus for m in range(max_m + 1)
-    )
-    sections.append(
-        IdentitySection(
-            "half-identity",
-            "PASS" if failures == 0 else "FAIL",
-            f"{len(nus)} values of nu, m <= {max_m}, {failures} failures",
-        )
-    )
+    nus += [random_rational(suite.rng) for _ in range(suite.trials)]
+    failures = sum(not half_identity_check(nu, m) for nu in nus for m in range(suite.max_m + 1))
+    detail = f"{len(nus)} values of nu, m <= {suite.max_m}, {failures} failures"
+    return _status(not failures), detail
 
-    # Last-axis splitting of the squared norm.
-    if max_n < 2:
-        sections.append(IdentitySection("dimension-split", "SKIP", "requires N >= 2"))
-    else:
-        checked = failures = 0
-        for n in range(2, max_n + 1):
-            points = default_sample_points(n, seed, extra=1)[:3]
-            kinds = [NormKind.power(s) for s in power_set] + [NormKind.logarithm()]
-            for kind in kinds:
-                for k in range(1, max_k + 1):
-                    for point in points:
-                        checked += 1
-                        if not dimension_split_check(n, kind, k, point):
-                            failures += 1
-        sections.append(
-            IdentitySection(
-                "dimension-split",
-                "PASS" if failures == 0 else "FAIL",
-                f"{checked} cases, {failures} failures",
-            )
-        )
 
-    # Weighted vs. plain enumeration of the squared norm.
-    checked = failures = 0
-    for n in range(1, min(max_n, 3) + 1):
-        kinds = [NormKind.power(s) for s in power_set] + [NormKind.logarithm()]
+@_counted
+def _dimension_split(suite: _Suite):
+    """Last-axis splitting of the squared norm."""
+    for n in range(2, suite.max_n + 1):
+        points = default_sample_points(n, suite.seed, extra=1)[:3]
+        for kind in _KINDS:
+            for k in range(1, suite.max_k + 1):
+                for point in points:
+                    yield dimension_split_check(n, kind, k, point)
+
+
+@_counted
+def _weighted_agreement(suite: _Suite):
+    """Weighted vs. plain enumeration of the squared norm."""
+    for n in range(1, min(suite.max_n, 3) + 1):
         points = []
         while len(points) < 5:
-            coords = tuple(random_rational(rng) for _ in range(n))
+            coords = tuple(random_rational(suite.rng) for _ in range(n))
             if any(coords):
                 points.append(SamplePoint(coords))
-        for kind in kinds:
-            for k in range(1, min(max_k, 4) + 1):
-                a = rescaled_grad_norms(n, kind, k, points, weighted=True)
-                b = rescaled_grad_norms(n, kind, k, points, weighted=False)
-                checked += len(points)
-                failures += sum(x != y for x, y in zip(a, b))
-    sections.append(
-        IdentitySection(
-            "weighted-agreement",
-            "PASS" if failures == 0 else "FAIL",
-            f"{checked} cases, {failures} failures",
-        )
-    )
+        for kind in _KINDS:
+            for k in range(1, min(suite.max_k, 4) + 1):
+                weighted = rescaled_grad_norms(n, kind, k, points, weighted=True)
+                plain = rescaled_grad_norms(n, kind, k, points, weighted=False)
+                yield from (a == b for a, b in zip(weighted, plain))
 
-    # Laplacian of a radial power, symbolically.
-    checked = failures = 0
-    for n in range(1, min(max_n, 5) + 1):
-        for _ in range(trials):
-            nu = random_rational(rng)
+
+@_counted
+def _laplacian_radial(suite: _Suite):
+    """Laplacian of a radial power, symbolically."""
+    for n in range(1, min(suite.max_n, 5) + 1):
+        for _ in range(suite.trials):
+            nu = random_rational(suite.rng)
             u = TermSum.single(n, nu, (0,) * n, 0, 1)
             expected = TermSum.single(n, nu, (0,) * n, -2, nu * (nu + n - 2))
-            checked += 1
-            if not functions_equal(u.laplacian(), expected):
-                failures += 1
-    sections.append(
-        IdentitySection(
-            "laplacian-radial",
-            "PASS" if failures == 0 else "FAIL",
-            f"{checked} cases, {failures} failures",
-        )
-    )
+            yield functions_equal(u.laplacian(), expected)
 
-    # Divergence of the log gradient vanishes in dimension 2.
-    divergence = None
-    for i, comp in enumerate(seed_terms(2, NormKind.logarithm()), start=1):
-        d = comp.differentiate(i)
-        divergence = d if divergence is None else divergence + d
-    div_zero = is_zero_function(divergence)
-    sections.append(
-        IdentitySection(
-            "log-divergence",
-            "PASS" if div_zero else "FAIL",
-            "divergence of the log gradient is zero on R^2" if div_zero else "nonzero",
-        )
-    )
 
-    # One-step recursion at the fundamental-solution exponent.
-    checked = failures = 0
-    for n in range(2, min(max_n, 4) + 1):
-        for k in range(1, max_k + 1):
-            checked += 1
-            if not laplacian_recursion_check(n, k):
-                failures += 1
-    if checked:
-        sections.append(
-            IdentitySection(
-                "laplacian-recursion",
-                "PASS" if failures == 0 else "FAIL",
-                f"{checked} cases, {failures} failures",
-            )
-        )
-    else:
-        sections.append(IdentitySection("laplacian-recursion", "SKIP", "requires N >= 2"))
+def _log_divergence(suite: _Suite) -> tuple[str, str]:
+    """Divergence of the log gradient vanishes in dimension 2."""
+    gradient = seed_terms(2, NormKind.logarithm())
+    parts = (comp.differentiate(i) for i, comp in enumerate(gradient, start=1))
+    if is_zero_function(TermSum._summed(2, Fraction(0), parts)):
+        return "PASS", "divergence of the log gradient is zero on R^2"
+    return "FAIL", "nonzero"
 
-    # Non-constancy of the unweighted nondecreasing-tuple norm.
+
+@_counted
+def _laplacian_recursion(suite: _Suite):
+    """One-step recursion at the fundamental-solution exponent."""
+    for n in range(2, min(suite.max_n, 4) + 1):
+        for k in range(1, suite.max_k + 1):
+            yield laplacian_recursion_check(n, k)
+
+
+def _tilde_nonconstancy(suite: _Suite) -> tuple[str, str]:
+    """Non-constancy of the unweighted nondecreasing-tuple norm."""
     kind = NormKind.logarithm()
-    v1 = tilde_norm_sq(2, kind, 2, SamplePoint((Fraction(1), Fraction(0))), rescaled=True)
-    v2 = tilde_norm_sq(2, kind, 2, SamplePoint((Fraction(1), Fraction(1))), rescaled=True)
-    ok = v1 != v2 and (v1, v2) == (Fraction(2), Fraction(1))
-    sections.append(
-        IdentitySection(
-            "tilde-nonconstancy",
-            "PASS" if ok else "FAIL",
-            f"rescaled values ({format_rational(v1)}, {format_rational(v2)}) at (1,0) and (1,1)",
-        )
-    )
-    return sections
+    v1, v2 = (tilde_norm_sq(2, kind, 2, SamplePoint(p), rescaled=True) for p in ((1, 0), (1, 1)))
+    values = f"({format_rational(v1)}, {format_rational(v2)})"
+    return _status((v1, v2) == (2, 1)), f"rescaled values {values} at (1,0) and (1,1)"
+
+
+# In run order, which fixes what each section draws from the seeded generator.
+_SECTIONS = (
+    ("half-identity", _half_identity),
+    ("dimension-split", _dimension_split),
+    ("weighted-agreement", _weighted_agreement),
+    ("laplacian-radial", _laplacian_radial),
+    ("log-divergence", _log_divergence),
+    ("laplacian-recursion", _laplacian_recursion),
+    ("tilde-nonconstancy", _tilde_nonconstancy),
+)
+
+
+def _run_identities(
+    max_m: int, max_n: int, max_k: int, trials: int, seed: int
+) -> list[IdentitySection]:
+    if max_m < 0 or max_n < 1 or max_k < 1 or trials < 1:
+        raise _UsageError("identity bounds must be positive")
+    suite = _Suite(max_m, max_n, max_k, trials, seed, random.Random(seed))
+    return [IdentitySection(name, *check(suite)) for name, check in _SECTIONS]
 
 
 def cmd_identities(
@@ -426,40 +338,15 @@ def cmd_identities(
     out: TextIO | None = None,
 ) -> int:
     """Run the identity suite; exit 0 only if every section passes."""
-    out = out or sys.stdout
     sections = _run_identities(max_m, max_n, max_k, trials, seed)
-    ok = all(s.status != "FAIL" for s in sections)
-    if fmt == "json":
-        payload = {
-            "request": {
-                "max_m": max_m,
-                "max_N": max_n,
-                "max_k": max_k,
-                "trials": trials,
-                "seed": seed,
-            },
-            "report": {
-                "sections": [
-                    {"name": s.name, "status": s.status, "detail": s.detail} for s in sections
-                ],
-                "result": "PASS" if ok else "FAIL",
-            },
-            "version": __version__,
-        }
-        json.dump(payload, out, indent=2)
-        out.write("\n")
-    elif fmt == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["section", "status", "detail"])
-        for s in sections:
-            writer.writerow([s.name, s.status, s.detail])
-        writer.writerow(["result", "PASS" if ok else "FAIL", ""])
-    else:
-        width = max(len(s.name) for s in sections)
-        for s in sections:
-            out.write(f"{s.name.ljust(width)}  {s.status}  {s.detail}\n")
-        out.write(f"result: {'PASS' if ok else 'FAIL'}\n")
-    return EXIT_OK if ok else EXIT_MISMATCH
+    result = _status(all(s.status != "FAIL" for s in sections))
+    payload = {
+        "request": {"max_m": max_m, "max_N": max_n, "max_k": max_k, "trials": trials, "seed": seed},
+        "report": {"sections": [s._asdict() for s in sections], "result": result},
+    }
+    rows = [["section", "status", "detail"], *sections, ["result", result, ""]]
+    _emit(out or sys.stdout, fmt, payload, rows, _aligned(sections) + [f"result: {result}"])
+    return EXIT_OK if result == "PASS" else EXIT_MISMATCH
 
 
 def _parse_span(text: str) -> tuple[int, int]:
@@ -471,14 +358,10 @@ def _parse_span(text: str) -> tuple[int, int]:
 
 
 def _parse_points(text: str) -> list[SamplePoint]:
-    points = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        coords = tuple(parse_rational(c.strip()) for c in chunk.split(","))
-        points.append(SamplePoint(coords))
-    return points
+    chunks = [chunk.strip() for chunk in text.split(";") if chunk.strip()]
+    if not chunks:
+        raise _UsageError("--points names no point")
+    return [SamplePoint(parse_rational(c.strip()) for c in chunk.split(",")) for chunk in chunks]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -486,6 +369,10 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+    def exit(self, status=0, message=None):
+        sys.stdout.flush()  # --help and --version fail here on a closed pipe, not at exit
+        super().exit(status, message)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -505,11 +392,8 @@ def _build_parser() -> argparse.ArgumentParser:
     t.add_argument("--s", dest="s_list", default=None, help="comma-separated rationals (gamma only)")
     t.add_argument("--methods", default="closed", help="subset of closed,recursive,special,oracle")
     t.add_argument("--decimal", action="store_true", help="append a 12-significant-digit column")
-    t.add_argument(
-        "--force-oracle",
-        action="store_true",
-        help=f"run the oracle even for k > {ORACLE_TABLE_MAX_K}",
-    )
+    t.add_argument("--force-oracle", action="store_true",
+                   help=f"run the oracle even for k > {ORACLE_TABLE_MAX_K}")
     common(t)
 
     v = sub.add_parser("verify", help="cross-check closed, recursive and oracle values")
@@ -532,7 +416,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _dispatch(args) -> int:
     if not args.out:
-        return _dispatch_to(args, sys.stdout)
+        code = _dispatch_to(args, sys.stdout)
+        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
+        return code
     # Open the target only once the report is complete, so a run that stops
     # with an error leaves it as it was.
     report = io.StringIO()
@@ -570,25 +456,24 @@ def _dispatch_to(args, out: TextIO) -> int:
             if args.s is not None:
                 raise _UsageError("logarithm kind takes no --s")
             kind = NormKind.logarithm()
-        points = _parse_points(args.points) if args.points else None
-        return cmd_verify(
-            args.n, kind, args.k, points, args.seed, args.format, out, args.timing
-        )
-    if args.command == "identities":
-        return cmd_identities(
-            args.max_m, args.max_n, args.max_k, args.trials, args.seed, args.format, out
-        )
-    raise _UsageError(f"unknown command {args.command!r}")
+        points = None if args.points is None else _parse_points(args.points)
+        return cmd_verify(args.n, kind, args.k, points, args.seed, args.format, out, args.timing)
+    return cmd_identities(
+        args.max_m, args.max_n, args.max_k, args.trials, args.seed, args.format, out
+    )
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        return _dispatch(_build_parser().parse_args(argv))
     except SystemExit as exc:  # --help exits 0; usage errors exit 1 via _Parser
         return int(exc.code or 0)
-    try:
-        return _dispatch(args)
+    except BrokenPipeError:
+        # The reader is gone: point stdout at devnull so the final flush stays quiet.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_USAGE
     except CapacityError as exc:
         print(f"radnorm: capacity exceeded: {exc}", file=sys.stderr)
         return EXIT_CAPACITY

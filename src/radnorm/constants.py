@@ -49,9 +49,8 @@ __all__ = [
     "power_coeffs",
     "log_coeffs",
     "evaluate_query",
+    "FORMULAS",
 ]
-
-METHODS = ("closed", "recursive", "special", "oracle")
 
 
 class NormKind(namedtuple("NormKind", "variant s", defaults=(None,))):
@@ -364,26 +363,38 @@ def phi_deriv_at_zero(m: int, k: int) -> Rational:
     return Fraction(2) ** (2 * m - k) * factorial(k) * binomial(m, k - m)
 
 
+# The method registry: name -> (n, kind, k) -> constant, or None where the method
+# does not apply.  Entries look the functions up at call time, so wrappers see the calls.
+
+
+def _closed(n: int, kind: NormKind, k: int) -> Rational:
+    return gamma_closed(n, kind.s, k) if kind.is_power else ell_closed(n, k)
+
+
+def _recursive(n: int, kind: NormKind, k: int) -> Rational:
+    return gamma_recursive(n, kind.s, k) if kind.is_power else ell_recursive(n, k)
+
+
+def _special(n: int, kind: NormKind, k: int) -> Rational | None:
+    if kind.is_power:
+        return gamma_special(n, k) if kind.s == 2 - n else None
+    return ell2_special(k) if n == 2 else None
+
+
+FORMULAS = {"closed": _closed, "recursive": _recursive, "special": _special}
+# The oracle is the symbolic route in ``symdiff``, which depends on this module.
+METHODS = (*FORMULAS, "oracle")
+
+
 def evaluate_query(query: ConstantQuery, method: str = "closed") -> ConstantValue:
     """Compute one constant by the named non-oracle method.
 
     ``special`` requires s = -(n-2) for the power family, or n = 2 for the
     logarithm family, and raises ValueError otherwise.
     """
-    n, k, kind = query.dimension, query.order, query.kind
-    if method == "closed":
-        value = gamma_closed(n, kind.s, k) if kind.is_power else ell_closed(n, k)
-    elif method == "recursive":
-        value = gamma_recursive(n, kind.s, k) if kind.is_power else ell_recursive(n, k)
-    elif method == "special":
-        if kind.is_power:
-            if kind.s != Fraction(-(n - 2)):
-                raise ValueError("special power form requires s = -(n-2)")
-            value = gamma_special(n, k)
-        else:
-            if n != 2:
-                raise ValueError("special logarithm form requires dimension 2")
-            value = ell2_special(k)
-    else:
+    if method not in FORMULAS:
         raise ValueError(f"method {method!r} is not computed here")
+    value = FORMULAS[method](query.dimension, query.kind, query.order)
+    if value is None:
+        raise ValueError(f"the {method} form does not apply to {query.kind} at N={query.dimension}")
     return ConstantValue(query, value, method)

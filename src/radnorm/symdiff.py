@@ -34,15 +34,7 @@ from itertools import combinations_with_replacement, product
 from math import comb, lcm, prod
 from typing import Iterable, Mapping, Sequence
 
-from .constants import (
-    ConstantQuery,
-    NormKind,
-    ell_closed,
-    ell_recursive,
-    gamma_closed,
-    gamma_recursive,
-    gamma_special,
-)
+from .constants import FORMULAS, ConstantQuery, NormKind, gamma_special
 from .exactnum import Rational, as_rational, factorial, format_rational, rational_pow
 
 __all__ = [
@@ -121,8 +113,13 @@ class TermSum(namedtuple("TermSum", "n_vars radial_base terms")):
         return cls(n_vars, radial_base, terms)
 
     @classmethod
-    def zero(cls, n_vars: int, radial_base) -> "TermSum":
-        return cls.build(n_vars, radial_base, {})
+    def _summed(cls, n_vars: int, radial_base: Rational, sums: Iterable["TermSum"]) -> "TermSum":
+        """The sum of ``sums`` (same n_vars and radial base), merged once."""
+        entries: dict[tuple[tuple[int, ...], int], Fraction] = defaultdict(Fraction)
+        for u in sums:
+            for t in u.terms:
+                entries[(t.monomial, t.radial_offset)] += t.coeff
+        return cls._merged(n_vars, radial_base, entries)
 
     @classmethod
     def single(cls, n_vars: int, radial_base, monomial: tuple[int, ...], offset: int, coeff) -> "TermSum":
@@ -134,10 +131,7 @@ class TermSum(namedtuple("TermSum", "n_vars radial_base terms")):
     def __add__(self, other: "TermSum") -> "TermSum":
         if self.n_vars != other.n_vars or self.radial_base != other.radial_base:
             raise ValueError("cannot add sums with different dimension or radial base")
-        entries: dict[tuple[tuple[int, ...], int], Fraction] = defaultdict(Fraction)
-        for t in self.terms + other.terms:
-            entries[(t.monomial, t.radial_offset)] += t.coeff
-        return TermSum._merged(self.n_vars, self.radial_base, entries)
+        return TermSum._summed(self.n_vars, self.radial_base, (self, other))
 
     def scale(self, factor) -> "TermSum":
         factor = Fraction(factor)
@@ -174,10 +168,9 @@ class TermSum(namedtuple("TermSum", "n_vars radial_base terms")):
 
     def laplacian(self) -> "TermSum":
         """Sum of the n second partials."""
-        result = TermSum.zero(self.n_vars, self.radial_base)
-        for axis in range(1, self.n_vars + 1):
-            result = result + self.differentiate(axis).differentiate(axis)
-        return result
+        return TermSum._summed(self.n_vars, self.radial_base, (
+            self.differentiate(axis).differentiate(axis) for axis in range(1, self.n_vars + 1)
+        ))
 
     def evaluate_reduced(self, point: "SamplePoint") -> Rational:
         """Value at the point divided by the common r^radial_base factor.
@@ -477,13 +470,11 @@ def grad_norm_sq_symbolic(n: int, kind: NormKind, k: int) -> TermSum:
     base of the result is 2s (power) or 0 (logarithm).
     """
     _validate_norm_args(n, kind, k, None)
-    total: TermSum | None = None
+    squares = []
     for combo, weight in _multiset_weights(n, k).items():
         u = derivative(n, kind, combo)
-        square = u.multiply(u).scale(weight)
-        total = square if total is None else total + square
-    assert total is not None
-    return total
+        squares.append(u.multiply(u).scale(weight))
+    return TermSum._summed(n, squares[0].radial_base, squares)
 
 
 def _proportional(p: SamplePoint, q: SamplePoint) -> bool:
@@ -508,6 +499,8 @@ def verify_constancy(
         raise ValueError("constancy checks need order >= 1")
     if not points:
         raise ValueError("at least one sample point is required")
+    if any(len(p.coords) != n for p in points):
+        raise ValueError("point dimension mismatch")
     if n >= 2:
         if len(points) < 2:
             raise ValueError("need at least two sample points")
@@ -516,22 +509,18 @@ def verify_constancy(
 
     start = time.perf_counter()
     point_values = list(zip(points, rescaled_grad_norms(n, kind, k, points, weighted=True)))
-    oracle_end = time.perf_counter()
-    closed = gamma_closed(n, kind.s, k) if kind.is_power else ell_closed(n, k)
-    closed_end = time.perf_counter()
-    recursive = gamma_recursive(n, kind.s, k) if kind.is_power else ell_recursive(n, k)
-    end = time.perf_counter()
-
+    marks = [start, time.perf_counter()]
+    method_values = {}
+    for method in ("closed", "recursive"):
+        method_values[method] = FORMULAS[method](n, kind, k)
+        marks.append(time.perf_counter())
     report = VerifyReport(
         query=ConstantQuery(n, k, kind),
-        method_values={"closed": closed, "recursive": recursive},
+        method_values=method_values,
         point_values=point_values,
-        elapsed_ms=(end - start) * 1000.0,
-        stage_ms={
-            "oracle": (oracle_end - start) * 1000.0,
-            "closed": (closed_end - oracle_end) * 1000.0,
-            "recursive": (end - closed_end) * 1000.0,
-        },
+        elapsed_ms=(marks[-1] - start) * 1000.0,
+        stage_ms={stage: (end - begin) * 1000.0
+                  for stage, begin, end in zip(("oracle", *method_values), marks, marks[1:])},
     )
     distinct = {value for _, value in point_values}
     if len(distinct) > 1:

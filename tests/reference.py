@@ -1,12 +1,17 @@
-"""Reference implementation of the closed double sum, term by term in Fraction.
+"""Reference implementations, written the plain way, for cross-checks.
 
-This is the closed form exactly as written, with no integer tricks; the
-package's closed and recursive kernels are cross-checked against it.
+The closed double sum term by term in Fraction, with no integer tricks; the
+package's closed and recursive kernels are checked against it.  The symbolic
+Laplacian and squared norm folded with repeated ``TermSum.__add__``; the
+package's one-pass sums are checked against them.
 """
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
+from math import prod
 
 from radnorm.exactnum import binomial, factorial, pochhammer
+from radnorm.symdiff import TermSum, derivative
 
 
 def reference_norm_sq(n, k, coeff):
@@ -51,3 +56,22 @@ def reference_half_sides(nu, m):
             * binomial(m, l)
         )
     return lhs, pochhammer(nu + m + Fraction(1, 2), m)
+
+
+def reference_laplacian(u):
+    """The n second partials of a TermSum, added one ``+`` at a time."""
+    total = TermSum.build(u.n_vars, u.radial_base, {})
+    for axis in range(1, u.n_vars + 1):
+        total = total + u.differentiate(axis).differentiate(axis)
+    return total
+
+
+def reference_grad_norm_sq_symbolic(n, kind, k):
+    """sum over sorted multisets of weight * (D u)^2, added one ``+`` at a time."""
+    total = None
+    for combo in combinations_with_replacement(range(1, n + 1), k):
+        weight = factorial(k) // prod(factorial(combo.count(a)) for a in set(combo))
+        u = derivative(n, kind, combo)
+        square = u.multiply(u).scale(weight)
+        total = square if total is None else total + square
+    return total

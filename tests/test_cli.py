@@ -1,7 +1,10 @@
 import json
 import os
 import stat
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -14,7 +17,10 @@ from radnorm.cli import (
     TableRequest,
     main,
 )
-from radnorm.exactnum import parse_rational
+from radnorm.constants import FORMULAS, NormKind
+from radnorm.exactnum import format_rational, parse_rational
+
+SRC = str(Path(radnorm.__file__).resolve().parents[1])
 
 
 def run(capsys, *argv):
@@ -123,6 +129,24 @@ def test_table_request_validation():
         TableRequest("gamma", (1, 2), (1, 2), [Fraction(1)], methods=["magic"])
     request = TableRequest("gamma", (1, 2), (1, 2), [Fraction(1)], methods=["oracle", "closed"])
     assert request.methods == ["closed", "oracle"]
+
+
+@pytest.mark.parametrize("norm", ["gamma", "ell"])
+def test_table_special_column_is_blank_exactly_where_the_registry_has_no_form(capsys, norm):
+    s_values = [Fraction(2 - n) for n in range(1, 7)] + [Fraction(1, 3)]
+    argv = ["table", "--norm", norm, "--N", "1..6", "--methods", "special", "--format", "csv"]
+    if norm == "gamma":
+        argv += ["--k", "0..8", "--s=" + ",".join(map(format_rational, s_values))]
+    else:
+        argv += ["--k", "1..8"]
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert len(rows) == (6 * 9 * len(s_values) if norm == "gamma" else 6 * 8)
+    for n, k, s, special in rows:
+        kind = NormKind.power(parse_rational(s)) if s else NormKind.logarithm()
+        value = FORMULAS["special"](int(n), kind, int(k))
+        assert special == ("" if value is None else format_rational(value))
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +266,16 @@ def test_usage_errors_exit_one(capsys):
                "--points", "0,0;1,1")[0] == EXIT_USAGE
     assert run(capsys, "verify", "--N", "2", "--kind", "logarithm", "--k", "1",
                "--points", "1/0,1")[0] == EXIT_USAGE
+    # points of the wrong or of mixed dimension, and a list that names no point
+    assert run(capsys, "verify", "--N", "2", "--kind", "logarithm", "--k", "2",
+               "--points", "1,1,1;2,2")[0] == EXIT_USAGE
+    code, _, err = run(capsys, "verify", "--N", "2", "--kind", "logarithm", "--k", "2",
+                       "--points", "1,1;2,2,2")
+    assert (code, err) == (EXIT_USAGE, "radnorm: error: point dimension mismatch\n")
+    for points in (";", ""):
+        code, _, err = run(capsys, "verify", "--N", "2", "--kind", "logarithm", "--k", "2",
+                           "--points", points)
+        assert code == EXIT_USAGE and err.startswith("radnorm: error:")
     assert run(capsys, "nonsense")[0] == EXIT_USAGE
 
 
@@ -249,6 +283,27 @@ def test_capacity_exit_three(capsys):
     code, _, err = run(capsys, "verify", "--N", "7", "--kind", "logarithm", "--k", "2")
     assert code == EXIT_CAPACITY
     assert "capacity" in err
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv", [
+    ["table", "--norm", "ell", "--N", "1..6", "--k", "1..10", "--methods", "closed"],
+    ["identities", "--max-m", "2", "--trials", "1"],
+    ["table", "--help"],
+], ids=["table", "identities", "help"])
+def test_closed_stdout_exits_one_without_a_traceback(argv, unbuffered):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {**os.environ, "PYTHONPATH": SRC, "PYTHONUNBUFFERED": unbuffered}
+    command = [sys.executable, "-c", "import sys; from radnorm.cli import main; sys.exit(main())"]
+    try:
+        proc = subprocess.run(command + argv, stdout=write_end, stderr=subprocess.PIPE,
+                              env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    # argparse itself drops a failed --help write; buffered, it fails at the flush
+    expected = EXIT_OK if argv[-1] == "--help" and unbuffered else EXIT_USAGE
+    assert (proc.returncode, proc.stderr) == (expected, b"")
 
 
 def test_help_exits_zero(capsys):

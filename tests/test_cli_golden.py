@@ -2,12 +2,17 @@
 
 The expected outputs in ``cli_golden.json`` were captured from the CLI before
 its records and identity checks were rewritten, and any refactor must keep
-them.  To recapture after a deliberate output change:
+them.  The entries with a ``fault`` were captured before the method registry
+and the report emitter replaced the hand-written renderers: each runs with one
+library name replaced (see ``FAULTS``), to reach the mismatch and FAIL paths
+that a correct library never takes.  To recapture after a deliberate output
+change:
 
     PYTHONPATH=src python tests/test_cli_golden.py > tests/cli_golden.json
 """
 
 import contextlib
+import importlib
 import io
 import json
 import os
@@ -73,25 +78,103 @@ COMMANDS = [
 ]
 
 
-def run_cli(argv):
+
+def _bump_all(real):
+    return lambda *args, **kwargs: [v + 1 for v in real(*args, **kwargs)]
+
+
+def _bump_last(real):
+    def fake(*args, **kwargs):
+        values = real(*args, **kwargs)
+        return values[:-1] + [values[-1] + 1]
+    return fake
+
+
+def _fail_at_m2(real):
+    return lambda nu, m: m != 2 and real(nu, m)
+
+
+def _fail_at_k1(real):
+    return lambda n, k: k != 1 and real(n, k)
+
+
+# fault name -> (dotted name replaced while the command runs, wrapper of the real object)
+FAULTS = {
+    "oracle-off-by-one": ("radnorm.symdiff.rescaled_grad_norms", _bump_all),
+    "oracle-uneven": ("radnorm.symdiff.rescaled_grad_norms", _bump_last),
+    "table-oracle-uneven": ("radnorm.cli.rescaled_grad_norms", _bump_last),
+    "half-identity-fails-at-m2": ("radnorm.cli.half_identity_check", _fail_at_m2),
+    "laplacian-recursion-fails-at-k1": ("radnorm.cli.laplacian_recursion_check", _fail_at_k1),
+}
+
+FAULT_COMMANDS = [
+    # verify mismatch (exit 2): oracle disagrees with both formulas, all three formats
+    ("oracle-off-by-one", ["verify", "--N", "3", "--kind", "logarithm", "--k", "3"]),
+    ("oracle-off-by-one", ["verify", "--N", "2", "--kind", "power", "--s", "1/2", "--k", "2",
+                           "--points", "3,4;1,2", "--format", "json"]),
+    ("oracle-off-by-one", ["verify", "--N", "3", "--kind", "power", "--s=-5/3", "--k", "4",
+                           "--format", "csv"]),
+    # verify mismatch (exit 2): oracle values differ across points
+    ("oracle-uneven", ["verify", "--N", "2", "--kind", "logarithm", "--k", "2"]),
+    ("oracle-uneven", ["verify", "--N", "2", "--kind", "logarithm", "--k", "2",
+                       "--format", "csv", "--points", "1,0;1,1"]),
+    # table oracle mismatch (exit 2, message on stderr)
+    ("table-oracle-uneven", ["table", "--norm", "gamma", "--N", "1..3", "--k", "2", "--s", "3",
+                             "--methods", "closed,oracle"]),
+    # identities with one FAIL section (exit 2), all three formats
+    ("half-identity-fails-at-m2", ["identities", "--max-m", "4", "--trials", "3"]),
+    ("half-identity-fails-at-m2", ["identities", "--max-m", "3", "--max-N", "2", "--max-k", "2",
+                                   "--trials", "2", "--format", "json"]),
+    ("half-identity-fails-at-m2", ["identities", "--max-N", "1", "--max-m", "2", "--trials", "1",
+                                   "--format", "csv"]),
+    # a counted section failing (exit 2)
+    ("laplacian-recursion-fails-at-k1", ["identities", "--max-m", "2", "--max-k", "2",
+                                         "--trials", "1"]),
+]
+
+
+@contextlib.contextmanager
+def _fault(name):
+    if name is None:
+        yield
+        return
+    target, wrap = FAULTS[name]
+    module_name, _, attr = target.rpartition(".")
+    module = importlib.import_module(module_name)
+    real = getattr(module, attr)
+    setattr(module, attr, wrap(real))
+    try:
+        yield
+    finally:
+        setattr(module, attr, real)
+
+
+def run_cli(argv, fault=None):
     stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+    with _fault(fault), contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = main(list(argv))
-    return {"argv": list(argv), "code": code, "stdout": stdout.getvalue(), "stderr": stderr.getvalue()}
+    entry = {"argv": list(argv), "fault": fault} if fault else {"argv": list(argv)}
+    return {**entry, "code": code, "stdout": stdout.getvalue(), "stderr": stderr.getvalue()}
 
 
 def _corpus():
     return json.loads(CORPUS.read_text(encoding="utf-8"))
 
 
+def _entry_id(entry):
+    argv = " ".join(entry["argv"]) or "<no args>"
+    return f"{entry['fault']}: {argv}" if "fault" in entry else argv
+
+
 def test_corpus_covers_the_commands():
-    assert [entry["argv"] for entry in _corpus()] == COMMANDS
+    expected = [(None, argv) for argv in COMMANDS] + FAULT_COMMANDS
+    assert [(entry.get("fault"), entry["argv"]) for entry in _corpus()] == expected
 
 
-@pytest.mark.parametrize("entry", _corpus(), ids=lambda e: " ".join(e["argv"]) or "<no args>")
+@pytest.mark.parametrize("entry", _corpus(), ids=_entry_id)
 def test_cli_output_is_byte_identical(entry, monkeypatch):
     monkeypatch.setenv("COLUMNS", COLUMNS)
-    got = run_cli(entry["argv"])
+    got = run_cli(entry["argv"], entry.get("fault"))
     assert got["code"] == entry["code"]
     assert got["stdout"].encode() == entry["stdout"].encode()
     assert got["stderr"].encode() == entry["stderr"].encode()
@@ -99,5 +182,7 @@ def test_cli_output_is_byte_identical(entry, monkeypatch):
 
 if __name__ == "__main__":
     os.environ["COLUMNS"] = COLUMNS
-    json.dump([run_cli(argv) for argv in COMMANDS], sys.stdout, indent=1, ensure_ascii=False)
+    entries = [run_cli(argv) for argv in COMMANDS]
+    entries += [run_cli(argv, fault) for fault, argv in FAULT_COMMANDS]
+    json.dump(entries, sys.stdout, indent=1, ensure_ascii=False)
     sys.stdout.write("\n")

@@ -5,6 +5,8 @@ import pytest
 
 from golden import ELL_POLYS, GAMMA_POLYS, S_VALUES
 from radnorm.constants import (
+    FORMULAS,
+    METHODS,
     ConstantQuery,
     ConstantValue,
     NormKind,
@@ -316,6 +318,23 @@ def test_evaluate_query_dispatch():
         evaluate_query(ConstantQuery(4, 2, NormKind.power(1)), "special")
     with pytest.raises(ValueError):
         evaluate_query(q, "oracle")
+
+
+def test_method_registry_is_the_method_list_and_decides_where_a_form_applies():
+    assert METHODS == (*FORMULAS, "oracle")
+    for n in range(1, 7):
+        for kind in (NormKind.power(2 - n), NormKind.power(Fraction(1, 3)), NormKind.logarithm()):
+            for k in range(0 if kind.is_power else 1, 9):
+                query = ConstantQuery(n, k, kind)
+                for method, formula in FORMULAS.items():
+                    value = formula(n, kind, k)
+                    if value is None:
+                        with pytest.raises(ValueError):
+                            evaluate_query(query, method)
+                    else:
+                        assert evaluate_query(query, method) == ConstantValue(query, value, method)
+                applies = kind.s == 2 - n if kind.is_power else n == 2
+                assert (FORMULAS["special"](n, kind, k) is not None) == applies
 
 
 # ---------------------------------------------------------------------------

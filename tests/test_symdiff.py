@@ -34,6 +34,7 @@ from radnorm.symdiff import (
     verify_constancy,
 )
 from radnorm.symdiff import _sum_sq_pow
+from reference import reference_grad_norm_sq_symbolic, reference_laplacian
 
 LOG = NormKind.logarithm()
 
@@ -354,6 +355,10 @@ def test_verify_constancy_preconditions():
         verify_constancy(2, LOG, 2, [pt(1, 1), pt(2, 2), pt(-3, -3)])  # one ray
     with pytest.raises(ValueError):
         verify_constancy(2, LOG, 0, [pt(1, 0), pt(1, 1)])
+    with pytest.raises(ValueError, match="point dimension mismatch"):
+        verify_constancy(2, LOG, 2, [pt(1, 1, 1), pt(2, 2)])
+    with pytest.raises(ValueError, match="point dimension mismatch"):
+        verify_constancy(2, LOG, 2, [pt(1, 0), pt(1, 1), pt(3)])
     # dimension 1: proportionality is unavoidable and not required
     assert verify_constancy(1, LOG, 2, [pt(1), pt(2)]).exact_match
 
@@ -457,3 +462,15 @@ def test_functions_equal_keeps_the_expansion_cache_bounded():
     for e in range(2 * EXPANSION_CACHE_SIZE):
         _sum_sq_pow(2, e)
     assert _sum_sq_pow.cache_info().currsize == EXPANSION_CACHE_SIZE
+
+
+@pytest.mark.parametrize("kind", [NormKind.power(Fraction(1, 2)), NormKind.power(-1), LOG],
+                         ids=str)
+def test_one_pass_sums_equal_the_repeated_add_fold(kind):
+    for n in range(1, 4):
+        for k in range(seed_order(kind), 4):
+            norm_sq = grad_norm_sq_symbolic(n, kind, k)
+            assert norm_sq == reference_grad_norm_sq_symbolic(n, kind, k)
+            assert laplacian(norm_sq) == reference_laplacian(norm_sq)
+            u = derivative(n, kind, (1,) * k)
+            assert laplacian(u) == reference_laplacian(u)
