@@ -24,8 +24,8 @@ from .exactnum import format_rational, parse_rational
 from .symdiff import (
     CapacityError,
     SamplePoint,
+    _dimension_split_checks,
     default_sample_points,
-    dimension_split_check,
     functions_equal,
     is_zero_function,
     laplacian_recursion_check,
@@ -174,7 +174,9 @@ def cmd_verify(
     timing: bool = False,
 ) -> int:
     """Run closed, recursive and oracle methods; exit 0 only on exact match."""
-    report = verify_constancy(n, kind, k, list(points or default_sample_points(n, seed)))
+    if points is None:
+        points = default_sample_points(n, seed)
+    report = verify_constancy(n, kind, k, list(points))
     methods = {m: format_rational(v) for m, v in report.method_values.items()}
     values = [(p, format_rational(v)) for p, v in report.point_values]
     payload = {
@@ -251,8 +253,7 @@ def _dimension_split(suite: _Suite):
         points = default_sample_points(n, suite.seed, extra=1)[:3]
         for kind in _KINDS:
             for k in range(1, suite.max_k + 1):
-                for point in points:
-                    yield dimension_split_check(n, kind, k, point)
+                yield from _dimension_split_checks(n, kind, k, points)
 
 
 @_counted

@@ -18,9 +18,13 @@ computations seed at order 1 with the gradient components x_i * r^(-2).
 ``TermSum`` keeps such sums canonical, with Fraction coefficients, for the
 symbolic identities; ``functions_equal`` clears negative powers of r^2 and
 substitutes r^2 = sum x_i^2 to reach a canonical polynomial form.  The
-pointwise norms apply the same rule in integers: one depth-first walk
-differentiates each sorted axis multiset from its prefix, holds only the
-current path and evaluates every leaf at all points at once (``_leaf_values``).
+pointwise norms apply the same rule in integers (``_walk``): one depth-first
+walk differentiates each sorted axis multiset from its prefix, keys each
+term x^beta r^(-2u) by the single integer sum beta_i B^i + u B^n with
+B = k + 1, holds only the current path and carries the multinomial weight
+down it.  Each leaf is evaluated at all points at once from a monomial
+table that lives for the call, and the norms add weight * S^2 into
+per-point totals as the leaves stream by, so no leaf is stored.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
 from math import comb, lcm, prod
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from .constants import FORMULAS, ConstantQuery, NormKind, gamma_special
@@ -220,6 +225,8 @@ class SamplePoint(namedtuple("SamplePoint", "coords")):
 class VerifyReport:
     """Outcome of one constancy check: oracle values per point vs. formulas."""
 
+    __slots__ = ("query", "method_values", "point_values", "verdict", "detail", "elapsed_ms", "stage_ms")
+
     def __init__(
         self,
         query: ConstantQuery,
@@ -323,78 +330,143 @@ def _validate_norm_args(n: int, kind: NormKind, k: int, point: SamplePoint | Non
     _check_scale(n, k)
 
 
-def _step(terms: dict, i: int, a: int, b: int) -> dict:
-    """``TermSum.differentiate`` times b, on the integer terms of ``_leaf_values``."""
-    out: dict[tuple[tuple[int, ...], int], int] = {}
-    for (beta, u), c in terms.items():
-        e = beta[i]
-        if e:
-            key = (beta[:i] + (e - 1,) + beta[i + 1:], u)
-            out[key] = out.get(key, 0) + c * e * b
-        t = a - 2 * u * b
+class _MonomialTable(dict):
+    """key -> (P^beta R^(k-u) at each point) for one walk, each entry decoded
+    and filled the first time a leaf needs it.
+
+    Point j enters as P = Q x, integer over the coordinates' common
+    denominator Q, with R = |P|^2; ``scales[j]`` is b^(2k) R^k.
+    """
+
+    def __init__(self, n: int, kind: NormKind, k: int, points: Sequence[SamplePoint]):
+        super().__init__()
+        b = kind.s.denominator if kind.is_power else 1
+        self.base, self.top = k + 1, (k + 1) ** n
+        coords, radii = [], []
+        for point in points:
+            q = lcm(*(c.denominator for c in point.coords))
+            coords.append([c.numerator * (q // c.denominator) for c in point.coords])
+            radii.append(sum(x * x for x in coords[-1]))
+        # powers[i][e] and radial[u]: tuples over the points.
+        self.powers = [[tuple(p[i] ** e for p in coords) for e in range(k + 1)] for i in range(n)]
+        self.radial = [tuple(r ** (k - u) for r in radii) for u in range(k + 1)]
+        self.scales = [b ** (2 * k) * r ** k for r in radii]
+
+    def __missing__(self, key: int) -> tuple[int, ...]:
+        u, rest = divmod(key, self.top)
+        value = self.radial[u]
+        for powers in self.powers:
+            rest, e = divmod(rest, self.base)
+            if e:
+                value = map(mul, value, powers[e])
+        value = self[key] = tuple(value)
+        return value
+
+
+def _step(
+    terms: dict, place: int, base: int, top: int, down_factors: Sequence[int], up_factors: Sequence[int]
+) -> dict:
+    """``TermSum.differentiate`` times b on the integer terms of ``_walk``,
+    along the axis whose digit has the place value ``place``: a term with
+    exponent e there and radial index u gains e*b = down_factors[e] one
+    place down and a - 2ub = up_factors[u] one place up."""
+    out: dict[int, int] = {}
+    get = out.get
+    for key, c in terms.items():
+        d = down_factors[key // place % base]
+        if d:
+            down = key - place
+            out[down] = get(down, 0) + c * d
+        t = up_factors[key // top]
         if t:
-            key = (beta[:i] + (e + 1,) + beta[i + 1:], u + 1)
-            out[key] = out.get(key, 0) + c * t
-    return {key: c for key, c in out.items() if c}
+            up = key + place + top
+            out[up] = get(up, 0) + c * t
+    if 0 in out.values():
+        return {key: c for key, c in out.items() if c}
+    return out
+
+
+def _walk(n: int, kind: NormKind, k: int, table: _MonomialTable):
+    """Yield (combo, k!/prod(multiplicities!), [S per point]) for every
+    sorted multiset of k axes in 1..n, from one depth-first walk.
+
+    A node holds {key: c} for sum c x^beta r^(s - 2u) / b^depth with
+    s = a/b (a = 0, b = 1 for log|x|) and key = sum beta_i B^i + u B^n,
+    B = k + 1: no exponent and no u exceeds the depth, so every digit
+    fits.  A child is its parent differentiated along an axis >= the
+    parent's last, so only the current path is held, and the multinomial
+    weight grows along it by (depth + 1) / (multiplicity of the new axis).
+    Each leaf is S = sum c P^beta R^(k-u) at every point of ``table``.
+    """
+    a, b = (kind.s.numerator, kind.s.denominator) if kind.is_power else (0, 1)
+    base, top = table.base, table.top
+    places = [base ** i for i in range(n)]
+    down_factors = [e * b for e in range(base)]
+    up_factors = [a - 2 * u * b for u in range(k + 1)]
+    points = len(table.scales)
+
+    def leaf(terms: dict) -> list[int]:
+        if not terms:
+            return [0] * points
+        coeffs = terms.values()
+        return [sum(map(mul, coeffs, column)) for column in zip(*map(table.__getitem__, terms))]
+
+    if kind.is_power:
+        roots = [({0: 1}, ())]
+    else:
+        roots = [({places[i] + top: 1}, (i + 1,)) for i in range(n)]
+    for terms, combo in roots:
+        if len(combo) == k:
+            yield combo, 1, leaf(terms)
+            continue
+        # The path from the root: each node's terms, combo, weight, trailing
+        # multiplicity and the axes its children have left to take.
+        path = [(terms, combo, 1, len(combo), iter(range(max(combo, default=1), n + 1)))]
+        while path:
+            terms, combo, weight, run, axes = path[-1]
+            axis = next(axes, 0)
+            if not axis:
+                path.pop()
+                continue
+            depth = len(combo) + 1
+            count = run + 1 if combo and axis == combo[-1] else 1
+            child = _step(terms, places[axis - 1], base, top, down_factors, up_factors)
+            child_combo, child_weight = combo + (axis,), weight * depth // count
+            if depth < k:
+                path.append((child, child_combo, child_weight, count, iter(range(axis, n + 1))))
+            else:
+                yield child_combo, child_weight, leaf(child)
 
 
 def _leaf_values(
     n: int, kind: NormKind, k: int, points: Sequence[SamplePoint]
 ) -> tuple[dict[tuple[int, ...], list[int]], list[int]]:
-    """Every k-th partial at every point, from one depth-first walk.
+    """Every k-th partial at every point: the leaves of one ``_walk``.
 
-    A node holds {(beta, u): c} for sum c x^beta r^(s - 2u) / b^depth with
-    s = a/b (a = 0, b = 1 for log|x|).  A child is its parent differentiated
-    along an axis >= the parent's last, so only the current path is held.
     With P = Q x integer over the common denominator Q and R = |P|^2,
     homogeneity (|beta| - 2u = -k) gives D_combo u / r^s = Q^k S / (b R)^k
     with S = sum c P^beta R^(k-u), and r^(2k) (D_combo u / r^s)^2 =
     S^2 / (b^(2k) R^k).  Returns {combo: [S per point]} over the sorted
     1-based multisets, and b^(2k) R^k per point.
     """
-    a, b = (kind.s.numerator, kind.s.denominator) if kind.is_power else (0, 1)
-    tables, scales = [], []
-    for point in points:
-        q = lcm(*(c.denominator for c in point.coords))
-        coords = [c.numerator * (q // c.denominator) for c in point.coords]
-        r = sum(x * x for x in coords)
-        tables.append(([[x ** e for e in range(k + 1)] for x in coords],
-                       [r ** (k - u) for u in range(k + 1)]))
-        scales.append(b ** (2 * k) * r ** k)
-    leaves: dict[tuple[int, ...], list[int]] = {}
-
-    def walk(terms: dict, combo: tuple[int, ...]) -> None:
-        if len(combo) < k:
-            for axis in range(combo[-1] if combo else 1, n + 1):
-                walk(_step(terms, axis - 1, a, b), combo + (axis,))
-            return
-        values = leaves[combo] = [0] * len(tables)
-        for (beta, u), c in terms.items():
-            for i, (powers, radial) in enumerate(tables):
-                value = c * radial[u]
-                for power, e in zip(powers, beta):
-                    if e:
-                        value *= power[e]
-                values[i] += value
-
-    if kind.is_power:
-        walk({((0,) * n, 0): 1}, ())
-    else:
-        for i in range(n):
-            walk({(tuple(int(j == i) for j in range(n)), 1): 1}, (i + 1,))
-    return leaves, scales
+    table = _MonomialTable(n, kind, k, points)
+    return {combo: values for combo, _, values in _walk(n, kind, k, table)}, table.scales
 
 
 def _rescaled_sums(
-    n: int, kind: NormKind, k: int, points: Sequence[SamplePoint], weights: Mapping[tuple[int, ...], int]
+    n: int, kind: NormKind, k: int, points: Sequence[SamplePoint],
+    weights: Mapping[tuple[int, ...], int] | None = None,
 ) -> list[Rational]:
-    """r^(2k) sum_combo weight (D_combo u / r^s)^2, per point."""
-    leaves, scales = _leaf_values(n, kind, k, points)
+    """r^(2k) sum_combo weight (D_combo u / r^s)^2 per point, folded at the
+    leaves; ``weights=None`` takes the multinomial weight the walk carries."""
+    table = _MonomialTable(n, kind, k, points)
     totals = [0] * len(points)
-    for combo, weight in weights.items():
-        for i, value in enumerate(leaves[combo]):
+    for combo, weight, values in _walk(n, kind, k, table):
+        if weights is not None:
+            weight = weights[combo]
+        for i, value in enumerate(values):
             totals[i] += weight * value * value
-    return [Fraction(total, scale) for total, scale in zip(totals, scales)]
+    return [Fraction(total, scale) for total, scale in zip(totals, table.scales)]
 
 
 def _unrescale(kind: NormKind, k: int, point: SamplePoint, value: Rational) -> Rational:
@@ -436,9 +508,8 @@ def rescaled_grad_norms(
     for point in points:
         _validate_norm_args(n, kind, k, point)
     if weighted or (weighted is None and k >= 5):
-        weights = _multiset_weights(n, k)
-    else:
-        weights = Counter(tuple(sorted(tup)) for tup in product(range(1, n + 1), repeat=k))
+        return _rescaled_sums(n, kind, k, points)
+    weights = Counter(tuple(sorted(tup)) for tup in product(range(1, n + 1), repeat=k))
     return _rescaled_sums(n, kind, k, points, weights)
 
 
@@ -529,7 +600,10 @@ def verify_constancy(
             f"{p}={format_rational(v)}" for p, v in point_values
         )
     else:
+        # Equal values share one object, so a kept report holds the constant once.
         oracle = next(iter(distinct))
+        report.point_values = [(p, oracle) for p, _ in point_values]
+        report.method_values = {m: oracle if v == oracle else v for m, v in method_values.items()}
         wrong = {m: v for m, v in report.method_values.items() if v != oracle}
         if wrong:
             report.verdict = "mismatch"
@@ -549,22 +623,32 @@ def dimension_split_check(n: int, kind: NormKind, k: int, point: SamplePoint) ->
     Both sides are evaluated exactly; a correct implementation always
     returns True.
     """
+    (ok,) = _dimension_split_checks(n, kind, k, [point])
+    return ok
+
+
+def _dimension_split_checks(n: int, kind: NormKind, k: int, points: Sequence[SamplePoint]) -> list[bool]:
+    """``dimension_split_check`` at every point, from one walk."""
     if n < 2:
         raise ValueError("splitting needs dimension >= 2")
     if k < 1:
         raise ValueError("splitting checks need order >= 1")
-    _validate_norm_args(n, kind, k, point)
+    for point in points:
+        _validate_norm_args(n, kind, k, point)
 
-    # All values share the positive scale Q^k / (b R)^k: compare integer sums.
-    leaves, _ = _leaf_values(n, kind, k, [point])
-    squares = {combo: value * value for combo, (value,) in leaves.items()}
-    lhs = sum(squares[tuple(sorted(tup))] for tup in product(range(1, n + 1), repeat=k))
-    rhs = sum(
-        comb(k, j) * sum(squares[tuple(sorted(tup)) + (n,) * (k - j)]
-                         for tup in product(range(1, n), repeat=j))
-        for j in range(k + 1)
-    )
-    return lhs == rhs
+    # All values at a point share the positive scale Q^k / (b R)^k: compare integer sums.
+    leaves, _ = _leaf_values(n, kind, k, points)
+    results = []
+    for i in range(len(points)):
+        squares = {combo: values[i] * values[i] for combo, values in leaves.items()}
+        lhs = sum(squares[tuple(sorted(tup))] for tup in product(range(1, n + 1), repeat=k))
+        rhs = sum(
+            comb(k, j) * sum(squares[tuple(sorted(tup)) + (n,) * (k - j)]
+                             for tup in product(range(1, n), repeat=j))
+            for j in range(k + 1)
+        )
+        results.append(lhs == rhs)
+    return results
 
 
 def laplacian_recursion_check(n: int, k: int) -> bool:
@@ -666,6 +750,20 @@ def random_rational(
             return value
 
 
+@lru_cache(maxsize=MAX_DIMENSION)
+def _fixed_sample_points(n: int) -> tuple[SamplePoint, ...]:
+    """The seed-independent part of ``default_sample_points``: immutable, so
+    every call shares the same points."""
+    fixed = [
+        tuple(Fraction(1 if i == 0 else 0) for i in range(n)),
+        tuple(Fraction(1) for _ in range(n)),
+        tuple(Fraction(i + 1) for i in range(n)),
+    ]
+    if n >= 2:
+        fixed.append(tuple(Fraction(v) for v in [3, 4] + [0] * (n - 2)))
+    return tuple(SamplePoint(coords) for coords in dict.fromkeys(fixed))
+
+
 def default_sample_points(n: int, seed: int = 0, extra: int = 2) -> list[SamplePoint]:
     """Deterministic sample points: a fixed set plus seeded random rationals.
 
@@ -675,19 +773,8 @@ def default_sample_points(n: int, seed: int = 0, extra: int = 2) -> list[SampleP
     """
     if n < 1:
         raise ValueError("dimension must be >= 1")
-    fixed = [
-        tuple(Fraction(1 if i == 0 else 0) for i in range(n)),
-        tuple(Fraction(1) for _ in range(n)),
-        tuple(Fraction(i + 1) for i in range(n)),
-    ]
-    if n >= 2:
-        fixed.append(tuple(Fraction(v) for v in [3, 4] + [0] * (n - 2)))
-    points: list[SamplePoint] = []
-    seen: set[tuple[Fraction, ...]] = set()
-    for coords in fixed:
-        if coords not in seen:
-            seen.add(coords)
-            points.append(SamplePoint(coords))
+    points = list(_fixed_sample_points(n))
+    seen = {p.coords for p in points}
     rng = random.Random(seed)
     attempts = 0
     while extra > 0:

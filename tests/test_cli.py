@@ -15,6 +15,8 @@ from radnorm.cli import (
     EXIT_OK,
     EXIT_USAGE,
     TableRequest,
+    _run_identities,
+    cmd_verify,
     main,
 )
 from radnorm.constants import FORMULAS, NormKind
@@ -277,6 +279,31 @@ def test_usage_errors_exit_one(capsys):
                            "--points", points)
         assert code == EXIT_USAGE and err.startswith("radnorm: error:")
     assert run(capsys, "nonsense")[0] == EXIT_USAGE
+
+
+def test_cmd_verify_rejects_an_empty_point_list():
+    # Only a missing list falls back to the default points.
+    with pytest.raises(ValueError, match="at least one sample point is required"):
+        cmd_verify(2, NormKind.logarithm(), 2, points=[])
+
+
+def test_default_identities_walk_once_per_split_shape(monkeypatch):
+    from radnorm import symdiff
+
+    walks = []
+    real = symdiff._walk
+
+    def counted(*args):
+        walks.append(args[:3])
+        return real(*args)
+
+    monkeypatch.setattr(symdiff, "_walk", counted)
+    sections = _run_identities(10, 3, 4, 20, 0)
+    assert all(section.status == "PASS" for section in sections)
+    # One walk per split shape (n 2..3, three kinds, k 1..4) covers its three
+    # points; weighted-agreement makes 72 walks and tilde-nonconstancy 2.
+    assert sections[1].detail == "72 cases, 0 failures"
+    assert len(walks) == 98
 
 
 def test_capacity_exit_three(capsys):

@@ -1,6 +1,8 @@
 """The integer prefix walk of the pointwise oracle against the TermSum route,
 against sympy, and its memory behaviour."""
 
+import gc
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import lcm
@@ -11,7 +13,20 @@ from hypothesis import strategies as st
 
 from radnorm import symdiff
 from radnorm.constants import NormKind, ell_closed, gamma_closed
-from radnorm.symdiff import SamplePoint, _leaf_values, derivative, grad_norm_sq, verify_constancy
+from radnorm.symdiff import (
+    SamplePoint,
+    _dimension_split_checks,
+    _leaf_values,
+    _MonomialTable,
+    _multiset_weights,
+    _rescaled_sums,
+    _walk,
+    derivative,
+    dimension_split_check,
+    grad_norm_sq,
+    rescaled_grad_norms,
+    verify_constancy,
+)
 
 LOG = NormKind.logarithm()
 KINDS = [LOG, NormKind.power(0), NormKind.power(3), NormKind.power(-2),
@@ -85,6 +100,120 @@ def test_walk_matches_termsum_and_closed_form(s, n, k, data):
     assert walk_leaves(n, kind, k, point) == termsum_leaves(n, kind, k, point)
     expected = ell_closed(n, k) if s is None else gamma_closed(n, s, k)
     assert grad_norm_sq(n, kind, k, point, rescaled=True) == expected
+
+
+def closed_form(kind, n, k):
+    return ell_closed(n, k) if not kind.is_power else gamma_closed(n, kind.s, k)
+
+
+def folded_leaves(n, kind, k, points):
+    """r^(2k) |D^k u / r^s|^2 per point, folded from ``_leaf_values``."""
+    leaves, scales = _leaf_values(n, kind, k, points)
+    weights = _multiset_weights(n, k)
+    return [
+        Fraction(sum(weights[combo] * values[i] ** 2 for combo, values in leaves.items()), scale)
+        for i, scale in enumerate(scales)
+    ]
+
+
+@pytest.mark.parametrize("kind", [NormKind.power(0), LOG], ids=str)
+def test_carried_weight_is_the_multinomial(kind):
+    # With no points the walk only differentiates (and power(0) has no terms
+    # past the root), so the whole box n <= 6, k <= 10 stays cheap.
+    for n in range(1, 7):
+        for k in range(0 if kind.is_power else 1, 11):
+            table = _MonomialTable(n, kind, k, [])
+            weights = {combo: weight for combo, weight, _ in _walk(n, kind, k, table)}
+            assert weights == _multiset_weights(n, k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    s=st.one_of(st.none(), exponents),
+    n=st.integers(min_value=1, max_value=4),
+    k=st.integers(min_value=1, max_value=6),
+    data=st.data(),
+)
+def test_streamed_sums_equal_folded_leaves_and_closed_form(s, n, k, data):
+    kind = LOG if s is None else NormKind.power(s)
+    points = data.draw(st.lists(
+        st.lists(coordinates, min_size=n, max_size=n).filter(any), min_size=1, max_size=3,
+    ))
+    points = [SamplePoint(tuple(coords)) for coords in points]
+    streamed = _rescaled_sums(n, kind, k, points)
+    assert streamed == folded_leaves(n, kind, k, points)
+    assert streamed == [closed_form(kind, n, k)] * len(points)
+
+
+EDGE_POINTS = [SamplePoint((Fraction(-3, 7),)), SamplePoint((Fraction(5, 2),))]
+
+
+@pytest.mark.parametrize("kind", [LOG, NormKind.power(Fraction(-7, 3)), NormKind.power(5)], ids=str)
+def test_one_dimension_at_the_top_order(kind):
+    # At n = 1 and k = 10 the exponent digit reaches k, the largest a digit holds.
+    for point in EDGE_POINTS:
+        assert walk_leaves(1, kind, 10, point) == termsum_leaves(1, kind, 10, point)
+    assert rescaled_grad_norms(1, kind, 10, EDGE_POINTS) == [closed_form(kind, 1, 10)] * 2
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_order_zero_power_and_order_one_log(n):
+    points = [SamplePoint(coords[:n]) for coords in POINTS[:2]]
+    for kind, k in [(NormKind.power(Fraction(1, 2)), 0), (NormKind.power(-3), 0), (LOG, 1)]:
+        for point in points:
+            assert walk_leaves(n, kind, k, point) == termsum_leaves(n, kind, k, point)
+        assert rescaled_grad_norms(n, kind, k, points) == [closed_form(kind, n, k)] * 2
+
+
+@pytest.mark.parametrize("s", [0, 2, -2])
+def test_even_integer_exponents(s):
+    # At s = 0 and s = 2 the up step's factor s - 2u vanishes for some u.
+    kind = NormKind.power(s)
+    for n in (1, 2, 3):
+        points = [SamplePoint(coords[:n]) for coords in POINTS[:2]]
+        for k in range(0, 7):
+            for point in points:
+                assert walk_leaves(n, kind, k, point) == termsum_leaves(n, kind, k, point)
+            assert _rescaled_sums(n, kind, k, points) == [closed_form(kind, n, k)] * 2
+
+
+def test_multi_point_split_check_matches_single_points():
+    for n in (2, 3):
+        points = [SamplePoint(coords[:n]) for coords in POINTS]
+        for kind in KINDS:
+            for k in (1, 2, 3):
+                checks = _dimension_split_checks(n, kind, k, points)
+                assert checks == [dimension_split_check(n, kind, k, p) for p in points]
+                assert all(checks)
+
+
+def test_a_walk_retains_nothing():
+    points = [SamplePoint(coords) for coords in POINTS[:2]]
+    kind = NormKind.power(Fraction(-7, 3))
+    calls = [
+        lambda: rescaled_grad_norms(4, kind, 6, points),
+        lambda: rescaled_grad_norms(4, LOG, 5, points, weighted=False),
+        lambda: _leaf_values(4, kind, 6, points),
+    ]
+    tracemalloc.start()
+    try:
+        for call in calls:
+            call()
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            gc.disable()
+            try:
+                call()
+                # No reference cycles: the call's memory went when it returned.
+                assert gc.collect() == 0
+            finally:
+                gc.enable()
+            after, peak = tracemalloc.get_traced_memory()
+            assert peak - before > 10_000  # the walk did allocate
+            assert after - before < 512
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("kind", [LOG, NormKind.power(3), NormKind.power(Fraction(-7, 3))], ids=str)
