@@ -24,6 +24,8 @@ from .exactnum import format_rational, parse_rational
 from .symdiff import (
     CapacityError,
     SamplePoint,
+    _check_scale,
+    _check_tuples,
     _dimension_split_checks,
     default_sample_points,
     functions_equal,
@@ -44,6 +46,13 @@ EXIT_CAPACITY = 3
 
 FORMATS = ("json", "csv", "plain")
 ORACLE_TABLE_MAX_K = 5  # above this, table rows skip the oracle unless forced
+
+# Capacity caps on command-line requests, checked before any work (exit 3);
+# the library functions take any size.  Measured on one 2-vCPU host:
+MAX_FORMULA_ORDER = 400  # table order: one closed or recursive cell at k = 400 takes ~0.16 s
+MAX_TABLE_CELLS = 10_000  # table rows x methods: 10,000 cells at k <= 50 take ~2.3 s
+MAX_IDENTITY_M = 100  # identities --max-m: each nu over m <= 100 takes ~23 ms (200: ~0.19 s)
+MAX_IDENTITY_TRIALS = 200  # identities --trials: ~4.6 s with --max-m at its cap
 
 
 class _UsageError(ValueError):
@@ -88,6 +97,12 @@ class TableRequest:
         self.norm, self.n_range, self.k_range, self.s_values = norm, n_range, k_range, s_values
         self.methods = [m for m in METHODS if m in methods]
         self.fmt, self.seed, self.decimal, self.force_oracle = fmt, seed, decimal, force_oracle
+        if k_range[1] > MAX_FORMULA_ORDER:
+            raise CapacityError(f"order k={k_range[1]} exceeds the table cap of {MAX_FORMULA_ORDER}")
+        cells = len(self.methods) * len(s_values or [None])
+        cells *= (n_range[1] - n_range[0] + 1) * (k_range[1] - k_range[0] + 1)
+        if cells > MAX_TABLE_CELLS:
+            raise CapacityError(f"{cells} table cells exceed the cap of {MAX_TABLE_CELLS}")
 
 
 class _OracleMismatch(Exception):
@@ -325,6 +340,13 @@ def _run_identities(
 ) -> list[IdentitySection]:
     if max_m < 0 or max_n < 1 or max_k < 1 or trials < 1:
         raise _UsageError("identity bounds must be positive")
+    if max_m > MAX_IDENTITY_M:
+        raise CapacityError(f"--max-m {max_m} exceeds the cap of {MAX_IDENTITY_M}")
+    if trials > MAX_IDENTITY_TRIALS:
+        raise CapacityError(f"--trials {trials} exceeds the cap of {MAX_IDENTITY_TRIALS}")
+    if max_n >= 2:  # the dimension-split section walks and enumerates up to (max_n, max_k)
+        _check_scale(max_n, max_k)
+        _check_tuples(max_n, max_k)
     suite = _Suite(max_m, max_n, max_k, trials, seed, random.Random(seed))
     return [IdentitySection(name, *check(suite)) for name, check in _SECTIONS]
 

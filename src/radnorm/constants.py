@@ -15,19 +15,19 @@ The standalone combinatorial facts the derivations rest on are exposed too
 (``half_identity_check``, ``phi_deriv_at_zero``).
 
 Both formula routes accumulate in ``int`` over the coefficients' common
-denominator and build one ``Fraction`` at the end.  Memo caches are bounded
-or keyed on (n, m) only; none is keyed on s.
+denominator and build one ``Fraction`` at the end; the product forms are
+integer products.  This module keeps no memo cache.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, lcm, prod
+from operator import index
 from typing import Callable
 
-from .exactnum import Rational, as_rational, binomial, factorial, format_rational, pochhammer
+from .exactnum import Rational, as_rational, binomial, factorial, format_rational
 
 __all__ = [
     "NormKind",
@@ -170,18 +170,21 @@ def _closed_kernel(n: int, k: int, nums: list[int], den: int) -> Rational:
     return Fraction(factorial(k) * total, den * den << half)
 
 
-def _recursive_kernel(n: int, k: int, nums: list[int], den: int, even_constant) -> Rational:
+def _recursive_kernel(n: int, k: int, nums: list[int], den: int, evens: list[int]) -> Rational:
     # k! sum_l (k-2l)!/(2l)! (sum_p 2^(2p-k) c_p C(p,k-p) C(k-p,l))^2 E(n-1, l)
-    # with c_p = nums[p - ceil(k/2)] / den and E = even_constant.
-    total = Fraction(0)
-    for l in range(k // 2 + 1):
+    # with c_p = nums[p - ceil(k/2)] / den and E(n-1, l) = evens[l], an int.
+    # Over T = (2 floor(k/2))! each term is an integer with weight (k-2l)! T/(2l)!,
+    # which is 1 at l = floor(k/2) and is built up from there.
+    half = k // 2
+    total, weight = 0, 1
+    for l in range(half, -1, -1):
         inner = sum(
             (c * comb(p, k - p) * comb(k - p, l)) << (2 * p - k)
             for p, c in zip(range(_ceil_half(k), k - l + 1), nums)
         )
-        even = even_constant(n - 1, l)
-        total += Fraction(factorial(k - 2 * l) * inner * inner, factorial(2 * l)) * even
-    return total * Fraction(factorial(k), den * den)
+        total += weight * inner * inner * index(evens[l])  # a non-integer E raises
+        weight *= (k - 2 * l + 2) * (k - 2 * l + 1) * (2 * l) * (2 * l - 1)
+    return Fraction(factorial(k) * total, den * den * factorial(2 * half))
 
 
 def gamma_closed(n: int, s, k: int) -> Rational:
@@ -229,57 +232,60 @@ def ell_1d(k: int) -> Rational:
     return ell_closed(1, k)
 
 
+def _even_product(n: int, m: int) -> int:
+    # 2^(2m) m! (2m)! (n/2+m-1)_m = 2^m m! (2m)! n(n+2)...(n+2m-2)
+    return factorial(m) * factorial(2 * m) * prod(range(n, n + 2 * m - 1, 2)) << m
+
+
 def gamma_even(n: int, m: int) -> Rational:
     """Constant for the even power s = 2m at order k = 2m: 2^(2m) m! (2m)! (n/2+m-1)_m."""
     if n < 1:
         raise ValueError("dimension must be >= 1")
     if m < 0:
         raise ValueError("m must be >= 0")
-    return (
-        Fraction(2) ** (2 * m)
-        * factorial(m)
-        * factorial(2 * m)
-        * pochhammer(Fraction(n, 2) + m - 1, m)
-    )
+    return Fraction(_even_product(n, m))
 
 
-@lru_cache(maxsize=None)
-def _gamma_even_deep(n: int, m: int) -> Rational:
-    # Even-order self-recursion down to dimension 1; exists solely to let the
-    # dimension recursion be tested against itself instead of gamma_even.
-    if n == 1:
-        return Fraction(factorial(2 * m)) ** 2
-    total = Fraction(0)
-    for l in range(m + 1):
-        total += (
-            Fraction(factorial(2 * (m - l)), factorial(2 * l))
-            * binomial(m, l) ** 2
-            * _gamma_even_deep(n - 1, l)
-        )
-    return factorial(2 * m) * total
+def _even_table_deep(n: int, m: int) -> list[int]:
+    # E(n, l) for l = 0..m by the even-order self-recursion up from dimension 1,
+    #   E(1, l) = ((2l)!)^2,  E(n', j) = sum_l (2(j-l))! ((2j)!/(2l)!) C(j,l)^2 E(n'-1, l),
+    # one table per call; exists solely to let the dimension recursion be tested
+    # against itself instead of gamma_even.
+    facts = [factorial(2 * l) for l in range(m + 1)]
+    row = [f * f for f in facts]
+    for _ in range(n - 1):
+        row = [
+            sum(facts[j - l] * (facts[j] // facts[l]) * comb(j, l) ** 2 * row[l] for l in range(j + 1))
+            for j in range(m + 1)
+        ]
+    return row
+
+
+def _evens(n: int, k: int, deep: bool = False) -> list[int]:
+    # E(n, l) for l = 0..floor(k/2), the even-order constants the recursion consumes.
+    if deep:
+        return _even_table_deep(n, k // 2)
+    return [_even_product(n, l) for l in range(k // 2 + 1)]
 
 
 def gamma_special(n: int, k: int) -> Rational:
     """Power constant at the fundamental-solution exponent s = -(n-2).
 
-    Product form 2^k (n/2 + k - 2)_k (n + k - 3)_k.
+    Product form 2^k (n/2 + k - 2)_k (n + k - 3)_k, in integers
+    (n+2k-4)(n+2k-6)...(n-2) * (n+k-3)(n+k-4)...(n-2).
     """
     if n < 1:
         raise ValueError("dimension must be >= 1")
     if k < 0:
         raise ValueError("derivative order must be >= 0")
-    return (
-        Fraction(2) ** k
-        * pochhammer(Fraction(n, 2) + k - 2, k)
-        * pochhammer(Fraction(n + k - 3), k)
-    )
+    return Fraction(prod(range(n + 2 * k - 4, n - 4, -2)) * prod(range(n + k - 3, n - 3, -1)))
 
 
 def ell2_special(k: int) -> Rational:
     """Two-dimensional logarithm constant: 2^(k-1) ((k-1)!)^2 for k >= 1."""
     if k < 1:
         raise ValueError("logarithm constant is undefined at order 0")
-    return Fraction(2) ** (k - 1) * factorial(k - 1) ** 2
+    return Fraction(factorial(k - 1) ** 2 << (k - 1))
 
 
 def taylor_compose_norm_sq(n: int, k: int, coeffs: Callable[[int], Rational]) -> Rational:
@@ -294,22 +300,21 @@ def taylor_compose_norm_sq(n: int, k: int, coeffs: Callable[[int], Rational]) ->
         raise ValueError("dimension must be >= 2; the scalar case folds into gamma_1d/ell_1d")
     if k < 0:
         raise ValueError("derivative order must be >= 0")
-    return _recursive_kernel(n, k, *_profile_terms(coeffs, k), gamma_even)
+    return _recursive_kernel(n, k, *_profile_terms(coeffs, k), _evens(n - 1, k))
 
 
 def gamma_recursive(n: int, s, k: int, deep: bool = False) -> Rational:
     """Power constant by dimension recursion; agrees exactly with gamma_closed.
 
-    The inner even-order constants come from the product form ``gamma_even``;
-    ``deep=True`` instead recurses them down to dimension 1 (self-consistency
-    mode, slower).
+    The inner even-order constants come from the integer product form behind
+    ``gamma_even``; ``deep=True`` instead recurses them up from dimension 1
+    in one table per call (self-consistency mode, slower).
     """
     if n < 1:
         raise ValueError("dimension must be >= 1")
     if n == 1:
         return gamma_1d(s, k)
-    even = _gamma_even_deep if deep else gamma_even
-    return _recursive_kernel(n, k, *_power_terms(as_rational(s), k), even)
+    return _recursive_kernel(n, k, *_power_terms(as_rational(s), k), _evens(n - 1, k, deep))
 
 
 def ell_recursive(n: int, k: int, deep: bool = False) -> Rational:
@@ -320,8 +325,7 @@ def ell_recursive(n: int, k: int, deep: bool = False) -> Rational:
         raise ValueError("logarithm constant is undefined at order 0")
     if n == 1:
         return ell_1d(k)
-    even = _gamma_even_deep if deep else gamma_even
-    return _recursive_kernel(n, k, *_profile_terms(log_coeffs(), k), even)
+    return _recursive_kernel(n, k, *_profile_terms(log_coeffs(), k), _evens(n - 1, k, deep))
 
 
 def _half_identity_sides(nu: Rational, m: int) -> tuple[int, int]:
@@ -360,7 +364,7 @@ def phi_deriv_at_zero(m: int, k: int) -> Rational:
         raise ValueError("m and k must be >= 0")
     if not m <= k <= 2 * m:
         return Fraction(0)
-    return Fraction(2) ** (2 * m - k) * factorial(k) * binomial(m, k - m)
+    return Fraction(factorial(k) * comb(m, k - m) << (2 * m - k))
 
 
 # The method registry: name -> (n, kind, k) -> constant, or None where the method

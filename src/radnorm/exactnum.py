@@ -26,8 +26,11 @@ __all__ = [
 
 Rational = Fraction
 
-# Entries kept by the pochhammer memo: room for the 891 (nu, l) pairs that
-# gamma_even(n - 1, l) needs for n <= 12, k <= 160, and for binomial callers.
+# Entries kept by the pochhammer memo.  No formula route calls pochhammer; its
+# callers are binomial (power_coeffs, so taylor_compose_norm_sq, and the plain
+# reference sums in the tests) and the public API, whose keys are arbitrary,
+# often a fresh s each time.  The bound caps what a long-running caller keeps:
+# 4,096 entries of orders up to 160 hold about 1.5 MB.
 POCHHAMMER_CACHE_SIZE = 4096
 
 # Wire format: optional sign on the numerator, "/q" omitted when q == 1.

@@ -45,6 +45,7 @@ from .exactnum import Rational, as_rational, factorial, format_rational, rationa
 __all__ = [
     "MAX_DIMENSION",
     "MAX_ORDER",
+    "MAX_ORDERED_TUPLES",
     "CapacityError",
     "Term",
     "TermSum",
@@ -71,6 +72,10 @@ __all__ = [
 # Exhaustive-enumeration caps; larger requests raise CapacityError.
 MAX_DIMENSION = 6
 MAX_ORDER = 10
+# The routes that list every ordered index tuple (the unweighted squared norm
+# and both sides of the split check) take n^k steps in Python: 10^5 tuples
+# cost about 0.1 s, while (6, 8) is 1.7 * 10^6 and (6, 10) 6 * 10^7.
+MAX_ORDERED_TUPLES = 100_000
 
 # Entries kept by the (sum x_i^2)^e expansion memo behind functions_equal,
 # keyed on (n, e); the identity suite needs a few dozen.
@@ -252,6 +257,14 @@ def _check_scale(n: int, k: int) -> None:
         raise CapacityError(
             f"n={n}, k={k} exceeds the desk-scale caps "
             f"(n <= {MAX_DIMENSION}, k <= {MAX_ORDER})"
+        )
+
+
+def _check_tuples(n: int, k: int) -> None:
+    if n ** k > MAX_ORDERED_TUPLES:
+        raise CapacityError(
+            f"n={n}, k={k} needs {n ** k} ordered index tuples, "
+            f"over the enumeration cap of {MAX_ORDERED_TUPLES}"
         )
 
 
@@ -487,7 +500,8 @@ def grad_norm_sq(
 
     ``weighted=True`` enumerates only nondecreasing index tuples with the
     multinomial weight k!/prod(multiplicities!); ``weighted=False`` walks all
-    n^k ordered tuples.  Both return the identical Rational; the default
+    n^k ordered tuples and raises CapacityError when n^k exceeds
+    MAX_ORDERED_TUPLES.  Both return the identical Rational; the default
     (None) picks the weighted route for k >= 5 for cost.
 
     By default the raw value is returned; for the power family with
@@ -509,6 +523,7 @@ def rescaled_grad_norms(
         _validate_norm_args(n, kind, k, point)
     if weighted or (weighted is None and k >= 5):
         return _rescaled_sums(n, kind, k, points)
+    _check_tuples(n, k)
     weights = Counter(tuple(sorted(tup)) for tup in product(range(1, n + 1), repeat=k))
     return _rescaled_sums(n, kind, k, points, weights)
 
@@ -621,7 +636,8 @@ def dimension_split_check(n: int, kind: NormKind, k: int, point: SamplePoint) ->
             = sum_j C(k,j) * sum_{i' in I_(n-1)^j} (D_i' D_n^(k-j) u)^2.
 
     Both sides are evaluated exactly; a correct implementation always
-    returns True.
+    returns True.  Both enumerate ordered index tuples, so n^k may not
+    exceed MAX_ORDERED_TUPLES (CapacityError).
     """
     (ok,) = _dimension_split_checks(n, kind, k, [point])
     return ok
@@ -635,6 +651,7 @@ def _dimension_split_checks(n: int, kind: NormKind, k: int, points: Sequence[Sam
         raise ValueError("splitting checks need order >= 1")
     for point in points:
         _validate_norm_args(n, kind, k, point)
+    _check_tuples(n, k)
 
     # All values at a point share the positive scale Q^k / (b R)^k: compare integer sums.
     leaves, _ = _leaf_values(n, kind, k, points)

@@ -1,7 +1,9 @@
 """Reference implementations, written the plain way, for cross-checks.
 
 The closed double sum term by term in Fraction, with no integer tricks; the
-package's closed and recursive kernels are checked against it.  The symbolic
+package's closed and recursive kernels are checked against it.  The product
+forms and the dimension recursion as Fraction and ``pochhammer`` expressions,
+the way they were written before the package moved them to integers.  The symbolic
 Laplacian and squared norm folded with repeated ``TermSum.__add__``; the
 package's one-pass sums are checked against them.
 """
@@ -42,6 +44,61 @@ def reference_gamma(n, s, k):
 
 def reference_ell(n, k):
     return reference_norm_sq(n, k, lambda p: Fraction((-1) ** p, 2 * p))
+
+
+def reference_gamma_even(n, m):
+    """2^(2m) m! (2m)! (n/2+m-1)_m."""
+    return Fraction(2) ** (2 * m) * factorial(m) * factorial(2 * m) * pochhammer(
+        Fraction(n, 2) + m - 1, m
+    )
+
+
+def reference_gamma_even_deep(n, m, memo=None):
+    """E(1, m) = ((2m)!)^2, E(n, m) = (2m)! sum_l (2(m-l))!/(2l)! C(m,l)^2 E(n-1, l)."""
+    memo = {} if memo is None else memo
+    if n == 1:
+        return Fraction(factorial(2 * m)) ** 2
+    if (n, m) not in memo:
+        total = Fraction(0)
+        for l in range(m + 1):
+            total += (
+                Fraction(factorial(2 * (m - l)), factorial(2 * l))
+                * binomial(m, l) ** 2
+                * reference_gamma_even_deep(n - 1, l, memo)
+            )
+        memo[n, m] = factorial(2 * m) * total
+    return memo[n, m]
+
+
+def reference_gamma_special(n, k):
+    """2^k (n/2 + k - 2)_k (n + k - 3)_k."""
+    return Fraction(2) ** k * pochhammer(Fraction(n, 2) + k - 2, k) * pochhammer(
+        Fraction(n + k - 3), k
+    )
+
+
+def reference_ell2_special(k):
+    """2^(k-1) ((k-1)!)^2."""
+    return Fraction(2) ** (k - 1) * factorial(k - 1) ** 2
+
+
+def reference_phi_deriv_at_zero(m, k):
+    """2^(2m-k) k! C(m, k-m) for m <= k <= 2m, else 0."""
+    if not m <= k <= 2 * m:
+        return Fraction(0)
+    return Fraction(2) ** (2 * m - k) * factorial(k) * binomial(m, k - m)
+
+
+def reference_recursive_norm_sq(n, k, coeff, even=reference_gamma_even):
+    """k! sum_l (k-2l)!/(2l)! (sum_p 2^(2p-k) c_p C(p,k-p) C(k-p,l))^2 E(n-1, l),
+    one Fraction per outer term."""
+    total = Fraction(0)
+    for l in range(k // 2 + 1):
+        inner = Fraction(0)
+        for p in range((k + 1) // 2, k - l + 1):
+            inner += Fraction(2) ** (2 * p - k) * coeff(p) * binomial(p, k - p) * binomial(k - p, l)
+        total += Fraction(factorial(k - 2 * l), factorial(2 * l)) * inner ** 2 * even(n - 1, l)
+    return factorial(k) * total
 
 
 def reference_half_sides(nu, m):

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import stat
@@ -7,13 +9,20 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import radnorm
+from radnorm import cli
 from radnorm.cli import (
     EXIT_CAPACITY,
     EXIT_MISMATCH,
     EXIT_OK,
     EXIT_USAGE,
+    MAX_FORMULA_ORDER,
+    MAX_IDENTITY_M,
+    MAX_IDENTITY_TRIALS,
+    MAX_TABLE_CELLS,
     TableRequest,
     _run_identities,
     cmd_verify,
@@ -21,6 +30,13 @@ from radnorm.cli import (
 )
 from radnorm.constants import FORMULAS, NormKind
 from radnorm.exactnum import format_rational, parse_rational
+from radnorm.symdiff import (
+    MAX_ORDERED_TUPLES,
+    CapacityError,
+    SamplePoint,
+    default_sample_points,
+    rescaled_grad_norms,
+)
 
 SRC = str(Path(radnorm.__file__).resolve().parents[1])
 
@@ -404,3 +420,106 @@ def test_out_through_a_symlink_keeps_the_link_and_the_mode(tmp_path, capsys):
     assert link.is_symlink()
     assert real.read_text() == "N,k,s,closed\n2,2,,2\n"
     assert stat.S_IMODE(real.stat().st_mode) == 0o640
+
+
+# ---------------------------------------------------------------------------
+# capacity caps, checked before any work
+
+
+@pytest.mark.parametrize("argv", [
+    ["identities", "--max-N", "7", "--max-k", "11"],
+    ["identities", "--max-N", "6", "--max-k", "7"],
+    ["identities", "--max-N", "4", "--max-k", "9"],
+    ["identities", "--max-m", "100000", "--trials", "1"],
+    ["identities", "--max-m", str(MAX_IDENTITY_M + 1)],
+    ["identities", "--trials", str(MAX_IDENTITY_TRIALS + 1)],
+    ["table", "--norm", "gamma", "--N", "1..3", "--k", "5000", "--s", "1/3"],
+    ["table", "--norm", "ell", "--N", "2", "--k", f"1..{MAX_FORMULA_ORDER + 1}",
+     "--methods", "special"],
+    ["table", "--norm", "ell", "--N", "3..28", "--k", "1..400", "--methods", "special"],
+    ["table", "--norm", "gamma", "--N", "1..100", "--k", "1..20", "--s=1,2,3",
+     "--methods", "closed,recursive"],
+], ids=lambda argv: " ".join(argv))
+def test_capacity_is_checked_before_any_work(capsys, monkeypatch, argv):
+    def no_work(*args, **kwargs):
+        raise AssertionError("computed before the capacity check")
+
+    for name in ("half_identity_check", "_dimension_split_checks", "_table_cell"):
+        monkeypatch.setattr(cli, name, no_work)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (EXIT_CAPACITY, "")
+    assert err.startswith("radnorm: capacity exceeded: ") and err.count("\n") == 1
+
+
+def test_requests_at_the_caps_run(capsys):
+    code, out, _ = run(capsys, "table", "--norm", "gamma", "--N", "2", "--k", str(MAX_FORMULA_ORDER),
+                       "--s", "0", "--methods", "special", "--format", "csv")
+    assert code == EXIT_OK
+    assert parse_rational(out.splitlines()[1].split(",")[3]) == FORMULAS["special"](
+        2, NormKind.power(0), MAX_FORMULA_ORDER)
+    # 25 dimensions x 400 orders x one method, all blank (special needs N = 2)
+    code, out, _ = run(capsys, "table", "--norm", "ell", "--N", "3..27", "--k", "1..400",
+                       "--methods", "special", "--format", "csv")
+    assert code == EXIT_OK and len(out.splitlines()) == MAX_TABLE_CELLS + 1
+    sections = _run_identities(MAX_IDENTITY_M, 1, 1, 1, 0)
+    assert sections[0].detail == f"4 values of nu, m <= {MAX_IDENTITY_M}, 0 failures"
+    sections = _run_identities(0, 1, 1, MAX_IDENTITY_TRIALS, 0)
+    assert all(section.status != "FAIL" for section in sections)
+    # 5^7 = 78,125 ordered tuples is inside the enumeration cap, 6^7 is not
+    with pytest.raises(CapacityError):
+        _run_identities(0, 6, 7, 1, 0)
+    assert 5 ** 7 <= MAX_ORDERED_TUPLES < 6 ** 7
+
+
+def test_identities_with_one_dimension_need_no_oracle_capacity(capsys):
+    # only the dimension-split and recursion sections reach (max_N, max_k), and
+    # both are skipped in dimension one
+    code, out, _ = run(capsys, "identities", "--max-N", "1", "--max-k", "11", "--format", "csv")
+    assert code == EXIT_OK
+    assert "dimension-split,SKIP" in out
+
+
+# ---------------------------------------------------------------------------
+# JSON output parses back to the library's values
+
+exponents = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 9))
+
+
+def _main_json(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv + ["--format", "json"])
+    assert code == EXIT_OK
+    return json.loads(out.getvalue())
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(1, 6), k=st.integers(1, 12), s_values=st.lists(exponents, min_size=1, max_size=3),
+       norm=st.sampled_from(["gamma", "ell"]))
+def test_table_json_parses_back_to_the_library_values(n, k, s_values, norm):
+    argv = ["table", "--norm", norm, "--N", f"1..{n}", "--k", f"{k}..{k + 2}",
+            "--methods", "closed,recursive,special"]
+    if norm == "gamma":
+        argv.append("--s=" + ",".join(map(format_rational, s_values)))
+    for row in _main_json(argv)["rows"]:
+        kind = NormKind.power(parse_rational(row["s"])) if norm == "gamma" else NormKind.logarithm()
+        for method, formula in FORMULAS.items():
+            value = formula(row["N"], kind, row["k"])
+            assert (None if value is None else parse_rational(row[method])) == value
+            assert row[method] is None or value is not None
+
+
+@settings(max_examples=15, deadline=None)
+@given(n=st.integers(1, 3), k=st.integers(1, 4), s=st.one_of(st.none(), exponents))
+def test_verify_json_parses_back_to_the_library_values(n, k, s):
+    kind = NormKind.logarithm() if s is None else NormKind.power(s)
+    argv = ["verify", "--N", str(n), "--kind", kind.variant, "--k", str(k)]
+    if s is not None:
+        argv.append(f"--s={format_rational(s)}")
+    report = _main_json(argv)["report"]
+    points = [SamplePoint(map(parse_rational, entry["point"])) for entry in report["points"]]
+    assert points == default_sample_points(n, 0)
+    oracle = rescaled_grad_norms(n, kind, k, points, weighted=True)
+    assert [parse_rational(entry["value"]) for entry in report["points"]] == oracle
+    for method in ("closed", "recursive"):
+        assert parse_rational(report["methods"][method]) == FORMULAS[method](n, kind, k)

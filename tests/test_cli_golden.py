@@ -9,6 +9,11 @@ that a correct library never takes.  To recapture after a deliberate output
 change:
 
     PYTHONPATH=src python tests/test_cli_golden.py > tests/cli_golden.json
+
+To compare every entry (fault entries included) on an interpreter without
+pytest, exiting 1 on any difference:
+
+    PYTHONPATH=src python tests/test_cli_golden.py --check
 """
 
 import contextlib
@@ -19,7 +24,10 @@ import os
 import sys
 from pathlib import Path
 
-import pytest
+try:
+    import pytest
+except ImportError:  # the script below needs only the standard library
+    pytest = None
 
 from radnorm.cli import main
 
@@ -171,17 +179,33 @@ def test_corpus_covers_the_commands():
     assert [(entry.get("fault"), entry["argv"]) for entry in _corpus()] == expected
 
 
-@pytest.mark.parametrize("entry", _corpus(), ids=_entry_id)
-def test_cli_output_is_byte_identical(entry, monkeypatch):
-    monkeypatch.setenv("COLUMNS", COLUMNS)
-    got = run_cli(entry["argv"], entry.get("fault"))
-    assert got["code"] == entry["code"]
-    assert got["stdout"].encode() == entry["stdout"].encode()
-    assert got["stderr"].encode() == entry["stderr"].encode()
+if pytest is not None:
+    @pytest.mark.parametrize("entry", _corpus(), ids=_entry_id)
+    def test_cli_output_is_byte_identical(entry, monkeypatch):
+        monkeypatch.setenv("COLUMNS", COLUMNS)
+        got = run_cli(entry["argv"], entry.get("fault"))
+        assert got["code"] == entry["code"]
+        assert got["stdout"].encode() == entry["stdout"].encode()
+        assert got["stderr"].encode() == entry["stderr"].encode()
+
+
+def _check() -> int:
+    corpus = _corpus()
+    failed = 0
+    for entry in corpus:
+        got = run_cli(entry["argv"], entry.get("fault"))
+        differences = [field for field in ("code", "stdout", "stderr") if got[field] != entry[field]]
+        if differences:
+            failed += 1
+            print(f"DIFF {_entry_id(entry)}: {', '.join(differences)}")
+    print(f"python {sys.version.split()[0]}: {len(corpus) - failed} of {len(corpus)} entries match")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
     os.environ["COLUMNS"] = COLUMNS
+    if sys.argv[1:] == ["--check"]:
+        sys.exit(_check())
     entries = [run_cli(argv) for argv in COMMANDS]
     entries += [run_cli(argv, fault) for fault, argv in FAULT_COMMANDS]
     json.dump(entries, sys.stdout, indent=1, ensure_ascii=False)

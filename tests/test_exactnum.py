@@ -3,6 +3,8 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from radnorm.exactnum import (
     binomial,
@@ -103,6 +105,22 @@ def test_parse_format_round_trip():
     assert parse_rational("4/6") == Fraction(2, 3)  # normalized on read
     assert format_rational(Fraction(-3, 2)) == "-3/2"
     assert format_rational(Fraction(7)) == "7"
+
+
+@given(st.fractions())
+def test_format_then_parse_is_the_identity(value):
+    text = format_rational(value)
+    assert parse_rational(text) == value
+    assert type(parse_rational(text)) is Fraction
+
+
+@given(st.integers(), st.integers(min_value=1), st.sampled_from(["", "+", "-"]))
+def test_parse_then_format_is_the_reduced_form(p, q, sign):
+    text = f"{sign}{abs(p)}/{q}"
+    value = parse_rational(text)
+    assert value == Fraction(-abs(p) if sign == "-" else abs(p), q)
+    reduced = f"{value.numerator}" + ("" if value.denominator == 1 else f"/{value.denominator}")
+    assert format_rational(value) == reduced
 
 
 @pytest.mark.parametrize("bad", ["1/0", "0/0", "1.5", "", "3/-4", "a", "1 /2", "1/2/3", "/3"])

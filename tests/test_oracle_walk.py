@@ -2,6 +2,7 @@
 against sympy, and its memory behaviour."""
 
 import gc
+import time
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -14,6 +15,8 @@ from hypothesis import strategies as st
 from radnorm import symdiff
 from radnorm.constants import NormKind, ell_closed, gamma_closed
 from radnorm.symdiff import (
+    MAX_ORDERED_TUPLES,
+    CapacityError,
     SamplePoint,
     _dimension_split_checks,
     _leaf_values,
@@ -251,3 +254,21 @@ def test_fresh_exponents_leave_symdiff_caches_unchanged():
         report = verify_constancy(3, NormKind.power(Fraction(2 * i + 1, 13)), 4, points)
         assert report.exact_match
     assert {name: cache.cache_info().currsize for name, cache in caches.items()} == before
+
+
+def test_ordered_tuple_routes_raise_before_enumerating():
+    point5, point6 = SamplePoint((1, 2, 0, -1, 3)), SamplePoint((1, 2, 0, -1, 3, 1))
+    start = time.perf_counter()
+    for call in (
+        lambda: grad_norm_sq(6, LOG, 8, point6, weighted=False, rescaled=True),
+        lambda: rescaled_grad_norms(6, LOG, 8, [point6, point6], weighted=False),
+        lambda: dimension_split_check(5, LOG, 10, point5),
+        lambda: _dimension_split_checks(5, NormKind.power(Fraction(1, 2)), 10, [point5]),
+    ):
+        with pytest.raises(CapacityError, match="ordered index tuples"):
+            call()
+    assert time.perf_counter() - start < 1.0
+    # 4^8 tuples are inside the cap; the weighted walk is not capped by n^k
+    assert 4 ** 8 <= MAX_ORDERED_TUPLES < 6 ** 8
+    assert dimension_split_check(4, LOG, 8, SamplePoint((1, 2, 0, -1)))
+    assert rescaled_grad_norms(6, LOG, 8, [point6], weighted=True) == [ell_closed(6, 8)]
