@@ -45,6 +45,8 @@ EXIT_MISMATCH = 2
 EXIT_CAPACITY = 3
 
 FORMATS = ("json", "csv", "plain")
+NORMS = ("gamma", "ell")
+VARIANTS = ("power", "logarithm")  # NormKind.variant
 ORACLE_TABLE_MAX_K = 5  # above this, table rows skip the oracle unless forced
 
 # Capacity caps on command-line requests, checked before any work (exit 3);
@@ -72,7 +74,7 @@ class TableRequest:
         decimal: bool = False,
         force_oracle: bool = False,
     ):
-        if norm not in ("gamma", "ell"):
+        if norm not in NORMS:
             raise _UsageError(f"unknown norm {norm!r}")
         for lo, hi in (n_range, k_range):
             if lo > hi:
@@ -103,6 +105,15 @@ class TableRequest:
         cells *= (n_range[1] - n_range[0] + 1) * (k_range[1] - k_range[0] + 1)
         if cells > MAX_TABLE_CELLS:
             raise CapacityError(f"{cells} table cells exceed the cap of {MAX_TABLE_CELLS}")
+        # The oracle box, at the first cell in row order whose oracle would run
+        # outside it: the error that cell would raise, before any row is computed.
+        for n in range(n_range[0], n_range[1] + 1):
+            for k in range(k_range[0], k_range[1] + 1):
+                if self._oracle_runs_at(k):
+                    _check_scale(n, k)
+
+    def _oracle_runs_at(self, k: int) -> bool:
+        return "oracle" in self.methods and (k <= ORACLE_TABLE_MAX_K or self.force_oracle)
 
 
 class _OracleMismatch(Exception):
@@ -143,7 +154,7 @@ def _table_cell(request: TableRequest, method: str, n: int, k: int, s: Fraction 
     kind = NormKind.power(s) if request.norm == "gamma" else NormKind.logarithm()
     if method in FORMULAS:
         return FORMULAS[method](n, kind, k)
-    if k > ORACLE_TABLE_MAX_K and not request.force_oracle:
+    if not request._oracle_runs_at(k):
         return None
     return _oracle_constant(n, kind, k, request.seed)
 
@@ -398,18 +409,30 @@ class _Parser(argparse.ArgumentParser):
         super().exit(status, message)
 
 
+def _one_of(choices: Sequence[str]):
+    # A type check worded as argparse 3.11 words a failed choices check, which
+    # later releases reword; ``choices=`` stays for usage and --help.
+    def check(text: str) -> str:
+        if text not in choices:
+            allowed = ", ".join(map(repr, choices))
+            raise argparse.ArgumentTypeError(f"invalid choice: {text!r} (choose from {allowed})")
+        return text
+
+    return check
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="radnorm", description=__doc__)
     parser.add_argument("--version", action="version", version=f"radnorm {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--format", choices=FORMATS, default="plain")
+        p.add_argument("--format", type=_one_of(FORMATS), choices=FORMATS, default="plain")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None, help="output path (default: stdout)")
 
     t = sub.add_parser("table", help="tabulate constants over an (N, k[, s]) grid")
-    t.add_argument("--norm", choices=("gamma", "ell"), required=True)
+    t.add_argument("--norm", type=_one_of(NORMS), choices=NORMS, required=True)
     t.add_argument("--N", dest="n_span", required=True, help="dimension range, e.g. 1..4 or 3")
     t.add_argument("--k", dest="k_span", required=True, help="order range, e.g. 0..6 or 2")
     t.add_argument("--s", dest="s_list", default=None, help="comma-separated rationals (gamma only)")
@@ -421,7 +444,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="cross-check closed, recursive and oracle values")
     v.add_argument("--N", dest="n", type=int, required=True)
-    v.add_argument("--kind", choices=("power", "logarithm"), required=True)
+    v.add_argument("--kind", type=_one_of(VARIANTS), choices=VARIANTS, required=True)
     v.add_argument("--s", default=None, help="exponent (power kind only)")
     v.add_argument("--k", type=int, required=True)
     v.add_argument("--points", default=None, help="semicolon-separated rational vectors")

@@ -14,17 +14,21 @@ This module computes those constants exactly, three independent ways:
 The standalone combinatorial facts the derivations rest on are exposed too
 (``half_identity_check``, ``phi_deriv_at_zero``).
 
-Both formula routes accumulate in ``int`` over the coefficients' common
-denominator and build one ``Fraction`` at the end; the product forms are
-integer products.  This module keeps no memo cache.
+The profile coefficients of both families are integer numerators over
+their least common denominator, built without ``Fraction`` arithmetic; only
+``taylor_compose_norm_sq``'s arbitrary coefficient callables go through
+``Fraction`` values (``_profile_terms``).  Both formula routes accumulate in
+``int`` over that denominator and build one ``Fraction`` at the end; the
+product forms are integer products.  This module keeps no memo cache.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from math import comb, lcm, prod
-from operator import index
+from itertools import accumulate
+from math import comb, gcd, lcm, prod
+from operator import index, mul
 from typing import Callable
 
 from .exactnum import Rational, as_rational, binomial, factorial, format_rational
@@ -133,22 +137,34 @@ def log_coeffs() -> Callable[[int], Rational]:
     return lambda n: Fraction((-1) ** (n - 1), 2 * n)
 
 
-def _over_common_denominator(values: list[Rational]) -> tuple[list[int], int]:
-    den = lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
-
-
 def _power_terms(s: Rational, k: int) -> tuple[list[int], int]:
-    # C(s/2, p) from one running product; no cache keyed on s.
-    half, term, terms = s / 2, Fraction(1), []
-    for p in range(k + 1):
-        terms.append(term)
-        term = term * (half - p) / (p + 1)
-    return _over_common_denominator(terms[_ceil_half(k):])
+    # C(s/2, p) = a(a-b)...(a-(p-1)b) / (b^p p!) with s/2 = a/b.  Over b^k k! the
+    # numerator is falling_p * b^(k-p) k!/p!: one forward product, one backward
+    # scale, and one gcd that leaves the least common denominator.  No cache keyed on s.
+    a, b = s.numerator, s.denominator
+    a, b = (a // 2, b) if a % 2 == 0 else (a, 2 * b)
+    lo = _ceil_half(k)
+    fallings = accumulate(range(a - lo * b, a - k * b, -b), mul,
+                          initial=prod(range(a, a - lo * b, -b)))  # falling_p, p = lo..k
+    scales = [*accumulate(range(k * b, lo * b, -b), mul, initial=1)]  # p = k down to lo
+    nums = list(map(mul, fallings, reversed(scales)))
+    den = b ** k * factorial(k)
+    g = gcd(den, *nums)
+    return [c // g for c in nums], den // g
+
+
+def _log_terms(k: int) -> tuple[list[int], int]:
+    # (-1)^(p-1) / (2p) over lcm(2p), ceil(k/2) <= p <= k.
+    lo = _ceil_half(k)
+    den = lcm(*range(2 * lo, 2 * k + 1, 2))
+    return [den // (2 * p) if p % 2 else -den // (2 * p) for p in range(lo, k + 1)], den
 
 
 def _profile_terms(coeffs: Callable[[int], Rational], k: int) -> tuple[list[int], int]:
-    return _over_common_denominator([as_rational(coeffs(p)) for p in range(_ceil_half(k), k + 1)])
+    # Any coefficient callable (taylor_compose_norm_sq): its values over their lcm.
+    values = [as_rational(coeffs(p)) for p in range(_ceil_half(k), k + 1)]
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def _closed_kernel(n: int, k: int, nums: list[int], den: int) -> Rational:
@@ -208,14 +224,14 @@ def gamma_closed(n: int, s, k: int) -> Rational:
 def ell_closed(n: int, k: int) -> Rational:
     """Logarithm-family constant for dimension n, order k >= 1 (closed form).
 
-    Same double sum as ``gamma_closed`` with (-1)^p / (2p) in place of
+    Same double sum as ``gamma_closed`` with (-1)^(p-1) / (2p) in place of
     C(s/2, p); strictly positive.
     """
     if n < 1:
         raise ValueError("dimension must be >= 1")
     if k < 1:
         raise ValueError("logarithm constant is undefined at order 0")
-    return _closed_kernel(n, k, *_profile_terms(log_coeffs(), k))
+    return _closed_kernel(n, k, *_log_terms(k))
 
 
 def gamma_1d(s, k: int) -> Rational:
@@ -325,7 +341,7 @@ def ell_recursive(n: int, k: int, deep: bool = False) -> Rational:
         raise ValueError("logarithm constant is undefined at order 0")
     if n == 1:
         return ell_1d(k)
-    return _recursive_kernel(n, k, *_profile_terms(log_coeffs(), k), _evens(n - 1, k, deep))
+    return _recursive_kernel(n, k, *_log_terms(k), _evens(n - 1, k, deep))
 
 
 def _half_identity_sides(nu: Rational, m: int) -> tuple[int, int]:

@@ -1,7 +1,9 @@
 """Reference implementations, written the plain way, for cross-checks.
 
 The closed double sum term by term in Fraction, with no integer tricks; the
-package's closed and recursive kernels are checked against it.  The product
+package's closed and recursive kernels are checked against it.  The profile
+coefficients of both families from Fraction values over their lcm, the way
+the package built them before it moved them to integers.  The product
 forms and the dimension recursion as Fraction and ``pochhammer`` expressions,
 the way they were written before the package moved them to integers.  The symbolic
 Laplacian and squared norm folded with repeated ``TermSum.__add__``; the
@@ -10,7 +12,7 @@ package's one-pass sums are checked against them.
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import prod
+from math import lcm, prod
 
 from radnorm.exactnum import binomial, factorial, pochhammer
 from radnorm.symdiff import TermSum, derivative
@@ -44,6 +46,26 @@ def reference_gamma(n, s, k):
 
 def reference_ell(n, k):
     return reference_norm_sq(n, k, lambda p: Fraction((-1) ** p, 2 * p))
+
+
+def _over_lcm(values):
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def reference_power_terms(s, k):
+    """C(s/2, p) for ceil(k/2) <= p <= k from a Fraction running product, as
+    integer numerators over the lcm of their denominators."""
+    half, term, terms = Fraction(s) / 2, Fraction(1), []
+    for p in range(k + 1):
+        terms.append(term)
+        term = term * (half - p) / (p + 1)
+    return _over_lcm(terms[(k + 1) // 2:])
+
+
+def reference_log_terms(k):
+    """(-1)^(p-1)/(2p) for ceil(k/2) <= p <= k, over the lcm of their denominators."""
+    return _over_lcm([Fraction((-1) ** (p - 1), 2 * p) for p in range((k + 1) // 2, k + 1)])
 
 
 def reference_gamma_even(n, m):

@@ -125,6 +125,34 @@ def test_table_oracle_skipped_above_cap_unless_forced(capsys):
     assert out.strip().splitlines()[1] == "1,6,2,0,0"
 
 
+@pytest.mark.parametrize("argv, first_failing", [
+    (["--N", "1..7", "--k", "1..3", "--s", "1", "--methods", "closed,oracle"], "n=7, k=1"),
+    (["--N", "1..2", "--k", "9..11", "--s", "1,2", "--methods", "oracle", "--force-oracle"],
+     "n=1, k=11"),
+], ids=["dimension", "forced order"])
+def test_table_checks_the_oracle_box_before_any_walk(capsys, monkeypatch, argv, first_failing):
+    walks = []
+    real = cli.rescaled_grad_norms
+
+    def counted(*args, **kwargs):
+        walks.append(args[:3])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "rescaled_grad_norms", counted)
+    code, out, err = run(capsys, "table", "--norm", "gamma", *argv)
+    assert (code, out, walks) == (EXIT_CAPACITY, "", [])
+    assert err == (f"radnorm: capacity exceeded: {first_failing} exceeds the desk-scale caps "
+                   "(n <= 6, k <= 10)\n")
+
+
+def test_table_outside_the_oracle_box_runs_where_the_oracle_does_not(capsys):
+    # Above ORACLE_TABLE_MAX_K the oracle column stays blank unless forced, so N = 7 is fine.
+    code, out, _ = run(capsys, "table", "--norm", "ell", "--N", "7", "--k", "6..7",
+                       "--methods", "closed,oracle", "--format", "csv")
+    assert code == EXIT_OK
+    assert [line.endswith(",") for line in out.splitlines()[1:]] == [True, True]
+
+
 def test_table_decimal_column(capsys):
     code, out, _ = run(
         capsys, "table", "--norm", "gamma", "--N", "1", "--k", "2", "--s", "1/2",

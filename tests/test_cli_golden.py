@@ -14,6 +14,9 @@ To compare every entry (fault entries included) on an interpreter without
 pytest, exiting 1 on any difference:
 
     PYTHONPATH=src python tests/test_cli_golden.py --check
+
+The test suite runs that check under every python3.10 ... python3.13 on the
+PATH that starts, because argparse rewords its messages between releases.
 """
 
 import contextlib
@@ -21,6 +24,8 @@ import importlib
 import io
 import json
 import os
+import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -29,6 +34,7 @@ try:
 except ImportError:  # the script below needs only the standard library
     pytest = None
 
+import radnorm
 from radnorm.cli import main
 
 CORPUS = Path(__file__).with_name("cli_golden.json")
@@ -187,6 +193,19 @@ if pytest is not None:
         assert got["code"] == entry["code"]
         assert got["stdout"].encode() == entry["stdout"].encode()
         assert got["stderr"].encode() == entry["stderr"].encode()
+
+    @pytest.mark.parametrize("interpreter", [f"python3.{minor}" for minor in range(10, 14)])
+    def test_check_passes_on_each_interpreter_that_starts(interpreter):
+        path = shutil.which(interpreter)
+        if path is None or subprocess.run([path, "-c", "pass"], capture_output=True,
+                                          timeout=60).returncode:
+            pytest.skip(f"{interpreter} is not available")
+        env = {**os.environ, "PYTHONPATH": str(Path(radnorm.__file__).resolve().parents[1])}
+        proc = subprocess.run([path, __file__, "--check"], capture_output=True, text=True,
+                              env=env, timeout=120)
+        entries = len(_corpus())
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert proc.stdout.endswith(f": {entries} of {entries} entries match\n")
 
 
 def _check() -> int:
