@@ -144,7 +144,7 @@ def _decimal_str(value: Fraction) -> str:
 
 
 def _oracle_constant(n: int, kind: NormKind, k: int, seed: int) -> Fraction:
-    values = rescaled_grad_norms(n, kind, k, default_sample_points(n, seed), weighted=True)
+    values = rescaled_grad_norms(n, kind, k, default_sample_points(n, seed))
     if len(set(values)) > 1:
         raise _OracleMismatch(f"oracle values differ across sample points for n={n}, k={k}, {kind}")
     return values[0]
@@ -362,15 +362,7 @@ def _run_identities(
     return [IdentitySection(name, *check(suite)) for name, check in _SECTIONS]
 
 
-def cmd_identities(
-    max_m: int = 10,
-    max_n: int = 3,
-    max_k: int = 4,
-    trials: int = 20,
-    seed: int = 0,
-    fmt: str = "plain",
-    out: TextIO | None = None,
-) -> int:
+def cmd_identities(max_m: int, max_n: int, max_k: int, trials: int, seed: int, fmt: str, out: TextIO) -> int:
     """Run the identity suite; exit 0 only if every section passes."""
     sections = _run_identities(max_m, max_n, max_k, trials, seed)
     result = _status(all(s.status != "FAIL" for s in sections))
@@ -379,16 +371,16 @@ def cmd_identities(
         "report": {"sections": [s._asdict() for s in sections], "result": result},
     }
     rows = [["section", "status", "detail"], *sections, ["result", result, ""]]
-    _emit(out or sys.stdout, fmt, payload, rows, _aligned(sections) + [f"result: {result}"])
+    _emit(out, fmt, payload, rows, _aligned(sections) + [f"result: {result}"])
     return EXIT_OK if result == "PASS" else EXIT_MISMATCH
 
 
 def _parse_span(text: str) -> tuple[int, int]:
-    if ".." in text:
-        lo, _, hi = text.partition("..")
-        return int(lo), int(hi)
-    value = int(text)
-    return value, value
+    lo, dots, hi = text.partition("..")
+    try:
+        return int(lo), int(hi if dots else lo)
+    except ValueError:
+        raise _UsageError(f"not a range: {text!r}") from None
 
 
 def _parse_points(text: str) -> list[SamplePoint]:
@@ -421,6 +413,29 @@ def _one_of(choices: Sequence[str]):
     return check
 
 
+def _run_table(args, out: TextIO) -> int:
+    n_range, k_range = _parse_span(args.n_span), _parse_span(args.k_span)
+    s_values = [parse_rational(c.strip()) for c in args.s_list.split(",")] if args.s_list else None
+    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    request = TableRequest(args.norm, n_range, k_range, s_values, methods, args.format, args.seed,
+                           args.decimal, args.force_oracle)
+    return cmd_table(request, out)
+
+
+def _run_verify(args, out: TextIO) -> int:
+    if args.kind == "power" and args.s is None:
+        raise _UsageError("power kind needs --s")
+    if args.kind == "logarithm" and args.s is not None:
+        raise _UsageError("logarithm kind takes no --s")
+    kind = NormKind.power(parse_rational(args.s)) if args.kind == "power" else NormKind.logarithm()
+    points = None if args.points is None else _parse_points(args.points)
+    return cmd_verify(args.n, kind, args.k, points, args.seed, args.format, out, args.timing)
+
+
+def _run_identity_suite(args, out: TextIO) -> int:
+    return cmd_identities(args.max_m, args.max_n, args.max_k, args.trials, args.seed, args.format, out)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="radnorm", description=__doc__)
     parser.add_argument("--version", action="version", version=f"radnorm {__version__}")
@@ -441,6 +456,7 @@ def _build_parser() -> argparse.ArgumentParser:
     t.add_argument("--force-oracle", action="store_true",
                    help=f"run the oracle even for k > {ORACLE_TABLE_MAX_K}")
     common(t)
+    t.set_defaults(run=_run_table)
 
     v = sub.add_parser("verify", help="cross-check closed, recursive and oracle values")
     v.add_argument("--N", dest="n", type=int, required=True)
@@ -450,6 +466,7 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--points", default=None, help="semicolon-separated rational vectors")
     v.add_argument("--timing", action="store_true", help="include total and per-stage times in the report")
     common(v)
+    v.set_defaults(run=_run_verify)
 
     i = sub.add_parser("identities", help="run the combinatorial identity suite")
     i.add_argument("--max-m", type=int, default=10)
@@ -457,56 +474,25 @@ def _build_parser() -> argparse.ArgumentParser:
     i.add_argument("--max-k", type=int, default=4)
     i.add_argument("--trials", type=int, default=20)
     common(i)
+    i.set_defaults(run=_run_identity_suite)
     return parser
 
 
 def _dispatch(args) -> int:
     if not args.out:
-        code = _dispatch_to(args, sys.stdout)
+        code = args.run(args, sys.stdout)
         sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
         return code
     # Open the target only once the report is complete, so a run that stops
     # with an error leaves it as it was.
     report = io.StringIO()
-    code = _dispatch_to(args, report)
+    code = args.run(args, report)
     try:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(report.getvalue())
     except OSError as exc:
         raise _UsageError(f"cannot write --out {args.out}: {exc.strerror}") from exc
     return code
-
-
-def _dispatch_to(args, out: TextIO) -> int:
-    if args.command == "table":
-        request = TableRequest(
-            norm=args.norm,
-            n_range=_parse_span(args.n_span),
-            k_range=_parse_span(args.k_span),
-            s_values=[parse_rational(c.strip()) for c in args.s_list.split(",")]
-            if args.s_list
-            else None,
-            methods=[m.strip() for m in args.methods.split(",") if m.strip()],
-            fmt=args.format,
-            seed=args.seed,
-            decimal=args.decimal,
-            force_oracle=args.force_oracle,
-        )
-        return cmd_table(request, out)
-    if args.command == "verify":
-        if args.kind == "power":
-            if args.s is None:
-                raise _UsageError("power kind needs --s")
-            kind = NormKind.power(parse_rational(args.s))
-        else:
-            if args.s is not None:
-                raise _UsageError("logarithm kind takes no --s")
-            kind = NormKind.logarithm()
-        points = None if args.points is None else _parse_points(args.points)
-        return cmd_verify(args.n, kind, args.k, points, args.seed, args.format, out, args.timing)
-    return cmd_identities(
-        args.max_m, args.max_n, args.max_k, args.trials, args.seed, args.format, out
-    )
 
 
 def main(argv: Sequence[str] | None = None) -> int:

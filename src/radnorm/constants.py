@@ -113,6 +113,7 @@ class ConstantValue(namedtuple("ConstantValue", "query value method")):
     __slots__ = ()
 
     def __new__(cls, query: ConstantQuery, value: Rational, method: str):
+        value = as_rational(value)
         if method not in METHODS:
             raise ValueError(f"unknown method {method!r}")
         if value < 0:
@@ -328,6 +329,8 @@ def gamma_recursive(n: int, s, k: int, deep: bool = False) -> Rational:
     """
     if n < 1:
         raise ValueError("dimension must be >= 1")
+    if k < 0:
+        raise ValueError("derivative order must be >= 0")
     if n == 1:
         return gamma_1d(s, k)
     return _recursive_kernel(n, k, *_power_terms(as_rational(s), k), _evens(n - 1, k, deep))

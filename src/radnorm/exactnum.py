@@ -69,7 +69,7 @@ def as_rational(value) -> Rational:
 
 def format_rational(value) -> str:
     """Render a value in the wire format "p/q" ("p" when the denominator is 1)."""
-    return str(Fraction(value))
+    return str(as_rational(value))
 
 
 def factorial(k: int) -> int:
@@ -77,7 +77,7 @@ def factorial(k: int) -> int:
     return math.factorial(k)
 
 
-@lru_cache(maxsize=POCHHAMMER_CACHE_SIZE)
+@lru_cache(maxsize=POCHHAMMER_CACHE_SIZE, typed=True)
 def pochhammer(nu, k: int) -> Rational:
     """Falling factorial (nu)_k = nu (nu-1) ... (nu-k+1), with (nu)_0 = 1.
 
@@ -87,7 +87,7 @@ def pochhammer(nu, k: int) -> Rational:
     """
     if k < 0:
         raise ValueError("pochhammer order must be nonnegative")
-    nu = Fraction(nu)
+    nu = as_rational(nu)
     result = Fraction(1)
     for j in range(k):
         result *= nu - j
@@ -96,7 +96,7 @@ def pochhammer(nu, k: int) -> Rational:
 
 def binomial(nu, k: int) -> Rational:
     """Generalized binomial coefficient (nu)_k / k! for rational nu."""
-    return pochhammer(Fraction(nu), k) / factorial(k)
+    return pochhammer(as_rational(nu), k) / factorial(k)
 
 
 def _int_nth_root(value: int, degree: int) -> int | None:
@@ -122,8 +122,8 @@ def rational_pow(base, exponent) -> Rational:
     or complex (negative base, fractional exponent), and ZeroDivisionError
     for a zero base with a negative exponent.
     """
-    base = Fraction(base)
-    exponent = Fraction(exponent)
+    base = as_rational(base)
+    exponent = as_rational(exponent)
     if exponent.denominator == 1:
         return base ** exponent.numerator
     if base < 0:

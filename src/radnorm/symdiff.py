@@ -36,7 +36,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
 from math import comb, lcm, prod
-from operator import mul
+from operator import index, mul
 from typing import Iterable, Mapping, Sequence
 
 from .constants import FORMULAS, ConstantQuery, NormKind, gamma_special
@@ -110,11 +110,11 @@ class TermSum(namedtuple("TermSum", "n_vars radial_base terms")):
         merged: dict[tuple[tuple[int, ...], int], Fraction] = defaultdict(Fraction)
         items = entries.items() if isinstance(entries, Mapping) else entries
         for (monomial, offset), coeff in items:
-            monomial = tuple(int(e) for e in monomial)
+            monomial = tuple(map(index, monomial))
             if len(monomial) != n_vars or any(e < 0 for e in monomial):
                 raise ValueError(f"bad monomial {monomial} for n_vars={n_vars}")
-            merged[(monomial, int(offset))] += Fraction(coeff)
-        return cls._merged(n_vars, Fraction(radial_base), merged)
+            merged[(monomial, index(offset))] += as_rational(coeff)
+        return cls._merged(n_vars, as_rational(radial_base), merged)
 
     @classmethod
     def _merged(cls, n_vars: int, radial_base: Rational, merged: Mapping) -> "TermSum":
@@ -133,7 +133,7 @@ class TermSum(namedtuple("TermSum", "n_vars radial_base terms")):
 
     @classmethod
     def single(cls, n_vars: int, radial_base, monomial: tuple[int, ...], offset: int, coeff) -> "TermSum":
-        return cls.build(n_vars, radial_base, {(tuple(monomial), offset): Fraction(coeff)})
+        return cls.build(n_vars, radial_base, {(tuple(monomial), offset): coeff})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -144,7 +144,7 @@ class TermSum(namedtuple("TermSum", "n_vars radial_base terms")):
         return TermSum._summed(self.n_vars, self.radial_base, (self, other))
 
     def scale(self, factor) -> "TermSum":
-        factor = Fraction(factor)
+        factor = as_rational(factor)
         entries = {(t.monomial, t.radial_offset): t.coeff * factor for t in self.terms}
         return TermSum._merged(self.n_vars, self.radial_base, entries)
 
@@ -227,25 +227,12 @@ class SamplePoint(namedtuple("SamplePoint", "coords")):
         return f"({self.text()})"
 
 
-class VerifyReport:
-    """Outcome of one constancy check: oracle values per point vs. formulas."""
+class VerifyReport(namedtuple("VerifyReport",
+                              "query method_values point_values verdict detail elapsed_ms stage_ms")):
+    """Outcome of one constancy check: oracle values per point vs. formulas.
+    ``stage_ms`` is the wall time per stage ("oracle", "closed", "recursive")."""
 
-    __slots__ = ("query", "method_values", "point_values", "verdict", "detail", "elapsed_ms", "stage_ms")
-
-    def __init__(
-        self,
-        query: ConstantQuery,
-        method_values: dict[str, Rational],
-        point_values: list[tuple[SamplePoint, Rational]],
-        verdict: str = "exact-match",
-        detail: str | None = None,
-        elapsed_ms: float = 0.0,
-        stage_ms: dict[str, float] | None = None,
-    ):
-        self.query, self.method_values, self.point_values = query, method_values, point_values
-        self.verdict, self.detail, self.elapsed_ms = verdict, detail, elapsed_ms
-        # Wall time per stage ("oracle", "closed", "recursive"); sums to elapsed_ms.
-        self.stage_ms = {} if stage_ms is None else stage_ms
+    __slots__ = ()
 
     @property
     def exact_match(self) -> bool:
@@ -493,16 +480,17 @@ def grad_norm_sq(
     kind: NormKind,
     k: int,
     point: SamplePoint,
-    weighted: bool | None = None,
+    weighted: bool = True,
     rescaled: bool = False,
 ) -> Rational:
     """Sum of squares of all n^k mixed k-th partials, evaluated at the point.
 
-    ``weighted=True`` enumerates only nondecreasing index tuples with the
-    multinomial weight k!/prod(multiplicities!); ``weighted=False`` walks all
-    n^k ordered tuples and raises CapacityError when n^k exceeds
-    MAX_ORDERED_TUPLES.  Both return the identical Rational; the default
-    (None) picks the weighted route for k >= 5 for cost.
+    ``weighted=True`` (the default) enumerates only nondecreasing index
+    tuples with the multinomial weight k!/prod(multiplicities!);
+    ``weighted=False`` walks all n^k ordered tuples and raises CapacityError
+    when n^k exceeds MAX_ORDERED_TUPLES.  Both return the identical Rational.
+    ``weighted`` is a plain bool: ``None`` no longer picks a route by k, and
+    like ``False`` it takes the ordered tuples.
 
     By default the raw value is returned; for the power family with
     fractional s that raw value is r^(2s) times a rational and may be
@@ -516,12 +504,13 @@ def grad_norm_sq(
 
 
 def rescaled_grad_norms(
-    n: int, kind: NormKind, k: int, points: Sequence[SamplePoint], weighted: bool | None = None
+    n: int, kind: NormKind, k: int, points: Sequence[SamplePoint], weighted: bool = True
 ) -> list[Rational]:
-    """``grad_norm_sq(n, kind, k, p, weighted, rescaled=True)`` at every point, from one walk."""
+    """``grad_norm_sq(n, kind, k, p, weighted, rescaled=True)`` at every point,
+    from one walk; ``weighted`` is a plain bool, as there."""
     for point in points:
         _validate_norm_args(n, kind, k, point)
-    if weighted or (weighted is None and k >= 5):
+    if weighted:
         return _rescaled_sums(n, kind, k, points)
     _check_tuples(n, k)
     weights = Counter(tuple(sorted(tup)) for tup in product(range(1, n + 1), repeat=k))
@@ -594,39 +583,37 @@ def verify_constancy(
             raise ValueError("sample points must not all be proportional")
 
     start = time.perf_counter()
-    point_values = list(zip(points, rescaled_grad_norms(n, kind, k, points, weighted=True)))
+    values = rescaled_grad_norms(n, kind, k, points)
     marks = [start, time.perf_counter()]
     method_values = {}
     for method in ("closed", "recursive"):
         method_values[method] = FORMULAS[method](n, kind, k)
         marks.append(time.perf_counter())
-    report = VerifyReport(
-        query=ConstantQuery(n, k, kind),
-        method_values=method_values,
-        point_values=point_values,
-        elapsed_ms=(marks[-1] - start) * 1000.0,
-        stage_ms={stage: (end - begin) * 1000.0
-                  for stage, begin, end in zip(("oracle", *method_values), marks, marks[1:])},
-    )
-    distinct = {value for _, value in point_values}
+    stage_ms = {stage: (end - begin) * 1000.0
+                for stage, begin, end in zip(("oracle", *method_values), marks, marks[1:])}
+    verdict, detail = "exact-match", None
+    distinct = set(values)
     if len(distinct) > 1:
-        report.verdict = "mismatch"
-        report.detail = "rescaled oracle values differ across points: " + ", ".join(
-            f"{p}={format_rational(v)}" for p, v in point_values
+        verdict = "mismatch"
+        detail = "rescaled oracle values differ across points: " + ", ".join(
+            f"{p}={format_rational(v)}" for p, v in zip(points, values)
         )
     else:
         # Equal values share one object, so a kept report holds the constant once.
-        oracle = next(iter(distinct))
-        report.point_values = [(p, oracle) for p, _ in point_values]
-        report.method_values = {m: oracle if v == oracle else v for m, v in method_values.items()}
-        wrong = {m: v for m, v in report.method_values.items() if v != oracle}
+        (oracle,) = distinct
+        values = [oracle] * len(values)
+        method_values = {m: oracle if v == oracle else v for m, v in method_values.items()}
+        wrong = {m: v for m, v in method_values.items() if v != oracle}
         if wrong:
-            report.verdict = "mismatch"
-            report.detail = (
+            verdict = "mismatch"
+            detail = (
                 f"oracle value {format_rational(oracle)} disagrees with "
                 + ", ".join(f"{m}={format_rational(v)}" for m, v in wrong.items())
             )
-    return report
+    return VerifyReport(
+        ConstantQuery(n, k, kind), method_values, list(zip(points, values)),
+        verdict, detail, (marks[-1] - start) * 1000.0, stage_ms,
+    )
 
 
 def dimension_split_check(n: int, kind: NormKind, k: int, point: SamplePoint) -> bool:
@@ -751,20 +738,9 @@ def functions_equal(a: TermSum, b: TermSum) -> bool:
     return _radial_monomials(a, shift + half) == _radial_monomials(b, shift)
 
 
-def random_rational(
-    rng: random.Random,
-    max_numerator: int = 7,
-    max_denominator: int = 7,
-    nonzero: bool = False,
-) -> Rational:
-    """A small random Fraction with |numerator| and denominator bounded."""
-    while True:
-        value = Fraction(
-            rng.randint(-max_numerator, max_numerator),
-            rng.randint(1, max_denominator),
-        )
-        if value or not nonzero:
-            return value
+def random_rational(rng: random.Random) -> Rational:
+    """A small random Fraction p/q, with p drawn from -7..7 and then q from 1..7."""
+    return Fraction(rng.randint(-7, 7), rng.randint(1, 7))
 
 
 @lru_cache(maxsize=MAX_DIMENSION)

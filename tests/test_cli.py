@@ -325,6 +325,20 @@ def test_usage_errors_exit_one(capsys):
     assert run(capsys, "nonsense")[0] == EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "span, message",
+    [
+        ("1..2..3", "radnorm: error: not a range: '1..2..3'\n"),
+        ("1..", "radnorm: error: not a range: '1..'\n"),
+        ("a", "radnorm: error: not a range: 'a'\n"),
+    ],
+)
+def test_a_malformed_range_is_one_usage_line(capsys, span, message):
+    for spans in (["--N", span, "--k", "2"], ["--N", "2", "--k", span]):
+        code, out, err = run(capsys, "table", "--norm", "gamma", "--s", "1", *spans)
+        assert (code, out, err) == (EXIT_USAGE, "", message)
+
+
 def test_cmd_verify_rejects_an_empty_point_list():
     # Only a missing list falls back to the default points.
     with pytest.raises(ValueError, match="at least one sample point is required"):

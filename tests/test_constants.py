@@ -26,8 +26,15 @@ from radnorm.constants import (
     power_coeffs,
     taylor_compose_norm_sq,
 )
-from radnorm.exactnum import POCHHAMMER_CACHE_SIZE, binomial, factorial, pochhammer
-from radnorm.symdiff import SamplePoint
+from radnorm.exactnum import (
+    POCHHAMMER_CACHE_SIZE,
+    binomial,
+    factorial,
+    format_rational,
+    pochhammer,
+    rational_pow,
+)
+from radnorm.symdiff import SamplePoint, TermSum
 
 # ---------------------------------------------------------------------------
 # closed forms: frozen values
@@ -51,6 +58,12 @@ def test_ell_closed_known_values():
 def test_ell_closed_rejects_order_zero():
     with pytest.raises(ValueError):
         ell_closed(3, 0)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_gamma_recursive_rejects_a_negative_order(n):
+    with pytest.raises(ValueError, match="derivative order must be >= 0"):
+        gamma_recursive(n, 3, -1)
 
 
 def test_gamma_1d_known_values():
@@ -273,10 +286,24 @@ def test_norm_kind_validation():
         lambda s: taylor_compose_norm_sq(2, 2, lambda p: s),
         lambda s: SamplePoint((s, Fraction(1, 2))),
         lambda s: half_identity_check(s, 2),
+        format_rational,
+        lambda s: pochhammer(s, 2),
+        lambda s: binomial(s, 2),
+        lambda s: rational_pow(s, 2),
+        lambda s: rational_pow(4, s),
+        lambda s: TermSum.build(2, Fraction(1, 2), {((1, 0), 0): s}),
+        lambda s: TermSum.build(2, s, {((1, 0), 0): 1}),
+        lambda s: TermSum.single(2, Fraction(1, 2), (1, 0), 0, s),
+        lambda s: TermSum.single(2, s, (1, 0), 0, 1),
+        lambda s: TermSum.single(2, 0, (1, 0), 0, 1).scale(s),
+        lambda s: ConstantValue(ConstantQuery(2, 1, NormKind.power(2)), s, "closed"),
     ],
     ids=[
         "gamma_closed", "gamma_1d", "gamma_recursive", "power_coeffs", "NormKind.power",
         "NormKind", "taylor_compose_norm_sq", "SamplePoint", "half_identity_check",
+        "format_rational", "pochhammer", "binomial", "rational_pow-base", "rational_pow-exponent",
+        "TermSum.build-coeff", "TermSum.build-base", "TermSum.single-coeff", "TermSum.single-base",
+        "TermSum.scale", "ConstantValue",
     ],
 )
 @pytest.mark.parametrize("s", [0.1, 2.0, float("nan"), True, False], ids=repr)

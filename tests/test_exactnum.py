@@ -49,6 +49,13 @@ def test_pochhammer_rejects_negative_order():
         pochhammer(Fraction(1), -1)
 
 
+def test_pochhammer_memo_does_not_answer_a_float_for_its_exact_twin():
+    # 0.5 == Fraction(1, 2) with the same hash, so an untyped memo would return the cached 1/2.
+    assert pochhammer(Fraction(1, 2), 1) == Fraction(1, 2)
+    with pytest.raises(TypeError):
+        pochhammer(0.5, 1)
+
+
 def test_pochhammer_recurrences_on_random_rationals():
     rng = random.Random(7)
     for _ in range(200):

@@ -11,7 +11,7 @@ import pytest
 import radnorm
 from radnorm.cli import IdentitySection
 from radnorm.constants import ConstantQuery, ConstantValue, NormKind
-from radnorm.symdiff import SamplePoint, Term, TermSum
+from radnorm.symdiff import SamplePoint, Term, TermSum, VerifyReport, default_sample_points, verify_constancy
 
 RECORDS = {
     "NormKind": (
@@ -60,6 +60,24 @@ def test_record_is_an_immutable_value(name):
     with pytest.raises(AttributeError):
         a.extra = 1
     assert repr(a) == expected_repr
+
+
+def test_verify_report_is_an_immutable_record():
+    # Its dict fields cannot be hashed, so unlike the records above it has no hash check.
+    report = verify_constancy(2, NormKind.logarithm(), 2, default_sample_points(2))
+    assert report._fields == (
+        "query", "method_values", "point_values", "verdict", "detail", "elapsed_ms", "stage_ms"
+    )
+    for field in report._fields:
+        with pytest.raises(AttributeError):
+            setattr(report, field, None)
+    with pytest.raises(AttributeError):
+        report.extra = 1
+    assert (report.verdict, report.detail, report.exact_match) == ("exact-match", None, True)
+    mismatch = report._replace(verdict="mismatch", detail="closed=1")
+    assert not mismatch.exact_match
+    assert VerifyReport(**report._asdict()) == report
+    assert VerifyReport(**mismatch._asdict()) == mismatch
 
 
 def test_cli_import_loads_no_dataclasses():

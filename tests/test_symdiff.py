@@ -110,6 +110,13 @@ def test_build_rejects_bad_monomials():
         TermSum.build(2, 0, {((-1, 0), 0): Fraction(1)})
 
 
+@pytest.mark.parametrize("key", [((0.5, 0), 0), ((1.0, 0), 0), ((1, 0), -2.0)], ids=repr)
+def test_build_rejects_inexact_exponents_and_offsets(key):
+    # int() would truncate 0.5 to x^0 instead of refusing it.
+    with pytest.raises(TypeError):
+        TermSum.build(2, 0, {key: 1})
+
+
 def test_mixed_partials_commute_on_random_orders():
     rng = random.Random(9)
     for kind in (NormKind.power(Fraction(-7, 2)), LOG):
