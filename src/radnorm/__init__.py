@@ -10,103 +10,9 @@ routes agree.
 
 __version__ = "0.1.0"
 
-from .exactnum import (
-    Rational,
-    binomial,
-    factorial,
-    format_rational,
-    parse_rational,
-    pochhammer,
-    rational_pow,
-)
-from .constants import (
-    ConstantQuery,
-    ConstantValue,
-    NormKind,
-    ell2_special,
-    ell_1d,
-    ell_closed,
-    ell_recursive,
-    evaluate_query,
-    gamma_1d,
-    gamma_closed,
-    gamma_even,
-    gamma_recursive,
-    gamma_special,
-    half_identity_check,
-    log_coeffs,
-    phi_deriv_at_zero,
-    power_coeffs,
-    taylor_compose_norm_sq,
-)
-from .symdiff import (
-    CapacityError,
-    SamplePoint,
-    Term,
-    TermSum,
-    VerifyReport,
-    default_sample_points,
-    derivative,
-    differentiate,
-    dimension_split_check,
-    functions_equal,
-    grad_norm_sq,
-    grad_norm_sq_symbolic,
-    is_zero_function,
-    laplacian,
-    laplacian_recursion_check,
-    random_rational,
-    seed,
-    seed_order,
-    tilde_norm_sq,
-    verify_constancy,
-)
+from . import constants, exactnum, symdiff
+from .exactnum import *
+from .constants import *
+from .symdiff import *
 
-__all__ = [
-    "__version__",
-    "Rational",
-    "parse_rational",
-    "format_rational",
-    "factorial",
-    "pochhammer",
-    "binomial",
-    "rational_pow",
-    "NormKind",
-    "ConstantQuery",
-    "ConstantValue",
-    "gamma_closed",
-    "ell_closed",
-    "gamma_1d",
-    "ell_1d",
-    "gamma_even",
-    "gamma_special",
-    "ell2_special",
-    "gamma_recursive",
-    "ell_recursive",
-    "taylor_compose_norm_sq",
-    "half_identity_check",
-    "phi_deriv_at_zero",
-    "power_coeffs",
-    "log_coeffs",
-    "evaluate_query",
-    "CapacityError",
-    "Term",
-    "TermSum",
-    "SamplePoint",
-    "VerifyReport",
-    "seed",
-    "seed_order",
-    "differentiate",
-    "laplacian",
-    "derivative",
-    "grad_norm_sq",
-    "grad_norm_sq_symbolic",
-    "tilde_norm_sq",
-    "verify_constancy",
-    "dimension_split_check",
-    "laplacian_recursion_check",
-    "functions_equal",
-    "is_zero_function",
-    "random_rational",
-    "default_sample_points",
-]
+__all__ = ["__version__", *exactnum.__all__, *constants.__all__, *symdiff.__all__]

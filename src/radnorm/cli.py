@@ -27,6 +27,7 @@ from .symdiff import (
     _check_scale,
     _check_tuples,
     _dimension_split_checks,
+    _fixed_sample_points,
     default_sample_points,
     functions_equal,
     is_zero_function,
@@ -276,7 +277,7 @@ def _half_identity(suite: _Suite) -> tuple[str, str]:
 def _dimension_split(suite: _Suite):
     """Last-axis splitting of the squared norm."""
     for n in range(2, suite.max_n + 1):
-        points = default_sample_points(n, suite.seed, extra=1)[:3]
+        points = _fixed_sample_points(n)[:3]  # e_1, (1,...,1), (1,...,n)
         for kind in _KINDS:
             for k in range(1, suite.max_k + 1):
                 yield from _dimension_split_checks(n, kind, k, points)
@@ -451,7 +452,7 @@ def _build_parser() -> argparse.ArgumentParser:
     t.add_argument("--N", dest="n_span", required=True, help="dimension range, e.g. 1..4 or 3")
     t.add_argument("--k", dest="k_span", required=True, help="order range, e.g. 0..6 or 2")
     t.add_argument("--s", dest="s_list", default=None, help="comma-separated rationals (gamma only)")
-    t.add_argument("--methods", default="closed", help="subset of closed,recursive,special,oracle")
+    t.add_argument("--methods", default="closed", help=f"subset of {','.join(METHODS)}")
     t.add_argument("--decimal", action="store_true", help="append a 12-significant-digit column")
     t.add_argument("--force-oracle", action="store_true",
                    help=f"run the oracle even for k > {ORACLE_TABLE_MAX_K}")

@@ -93,7 +93,11 @@ class NormKind(namedtuple("NormKind", "variant s", defaults=(None,))):
 
 
 class ConstantQuery(namedtuple("ConstantQuery", "dimension order kind")):
-    """A (dimension, derivative order, kind) triple identifying one constant."""
+    """A (dimension, derivative order, kind) triple identifying one constant.
+
+    Building one is the domain check every constant shares: n >= 1, and
+    k >= 0 for |x|^s or k >= 1 for log|x|.
+    """
 
     __slots__ = ()
 
@@ -215,11 +219,8 @@ def gamma_closed(n: int, s, k: int) -> Rational:
     with l in [0, floor(k/2)] and p in [ceil(k/2), k-l] in integers over a
     common denominator, as one Fraction at the end.
     """
-    if n < 1:
-        raise ValueError("dimension must be >= 1")
-    if k < 0:
-        raise ValueError("derivative order must be >= 0")
-    return _closed_kernel(n, k, *_power_terms(as_rational(s), k))
+    s = ConstantQuery(n, k, NormKind.power(s)).kind.s
+    return _closed_kernel(n, k, *_power_terms(s, k))
 
 
 def ell_closed(n: int, k: int) -> Rational:
@@ -228,10 +229,7 @@ def ell_closed(n: int, k: int) -> Rational:
     Same double sum as ``gamma_closed`` with (-1)^(p-1) / (2p) in place of
     C(s/2, p); strictly positive.
     """
-    if n < 1:
-        raise ValueError("dimension must be >= 1")
-    if k < 1:
-        raise ValueError("logarithm constant is undefined at order 0")
+    ConstantQuery(n, k, NormKind.logarithm())
     return _closed_kernel(n, k, *_log_terms(k))
 
 
@@ -291,17 +289,13 @@ def gamma_special(n: int, k: int) -> Rational:
     Product form 2^k (n/2 + k - 2)_k (n + k - 3)_k, in integers
     (n+2k-4)(n+2k-6)...(n-2) * (n+k-3)(n+k-4)...(n-2).
     """
-    if n < 1:
-        raise ValueError("dimension must be >= 1")
-    if k < 0:
-        raise ValueError("derivative order must be >= 0")
+    ConstantQuery(n, k, NormKind.power(2 - n))
     return Fraction(prod(range(n + 2 * k - 4, n - 4, -2)) * prod(range(n + k - 3, n - 3, -1)))
 
 
 def ell2_special(k: int) -> Rational:
     """Two-dimensional logarithm constant: 2^(k-1) ((k-1)!)^2 for k >= 1."""
-    if k < 1:
-        raise ValueError("logarithm constant is undefined at order 0")
+    ConstantQuery(2, k, NormKind.logarithm())
     return Fraction(factorial(k - 1) ** 2 << (k - 1))
 
 
@@ -327,21 +321,15 @@ def gamma_recursive(n: int, s, k: int, deep: bool = False) -> Rational:
     ``gamma_even``; ``deep=True`` instead recurses them up from dimension 1
     in one table per call (self-consistency mode, slower).
     """
-    if n < 1:
-        raise ValueError("dimension must be >= 1")
-    if k < 0:
-        raise ValueError("derivative order must be >= 0")
+    s = ConstantQuery(n, k, NormKind.power(s)).kind.s
     if n == 1:
         return gamma_1d(s, k)
-    return _recursive_kernel(n, k, *_power_terms(as_rational(s), k), _evens(n - 1, k, deep))
+    return _recursive_kernel(n, k, *_power_terms(s, k), _evens(n - 1, k, deep))
 
 
 def ell_recursive(n: int, k: int, deep: bool = False) -> Rational:
     """Logarithm constant by dimension recursion; agrees exactly with ell_closed."""
-    if n < 1:
-        raise ValueError("dimension must be >= 1")
-    if k < 1:
-        raise ValueError("logarithm constant is undefined at order 0")
+    ConstantQuery(n, k, NormKind.logarithm())
     if n == 1:
         return ell_1d(k)
     return _recursive_kernel(n, k, *_log_terms(k), _evens(n - 1, k, deep))

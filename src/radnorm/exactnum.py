@@ -101,10 +101,11 @@ def binomial(nu, k: int) -> Rational:
 
 def _int_nth_root(value: int, degree: int) -> int | None:
     """Exact degree-th root of a nonnegative integer, or None if not perfect."""
-    if value < 0:
-        return None
-    if value in (0, 1) or degree == 1:
+    # value >= 0: rational_pow rejects a negative base, and denominators are positive.
+    if value < 2 or degree == 1:
         return value
+    if degree >= value.bit_length():  # 2 <= value < 2^degree: no integer root
+        return None
     # Start above the true root, then Newton-descend to the floor root.
     root = 1 << -(-value.bit_length() // degree)
     while True:

@@ -318,14 +318,9 @@ def _multiset_weights(n: int, k: int) -> dict[tuple[int, ...], int]:
     return weights
 
 
-def _validate_norm_args(n: int, kind: NormKind, k: int, point: SamplePoint | None) -> None:
-    if n < 1:
-        raise ValueError("dimension must be >= 1")
-    if k < 0:
-        raise ValueError("derivative order must be >= 0")
-    if not kind.is_power and k < 1:
-        raise ValueError("logarithm norms need order >= 1")
-    if point is not None and len(point.coords) != n:
+def _validate_norm_args(n: int, kind: NormKind, k: int, points: Sequence[SamplePoint]) -> None:
+    ConstantQuery(n, k, kind)
+    if any(len(point.coords) != n for point in points):
         raise ValueError("point dimension mismatch")
     _check_scale(n, k)
 
@@ -381,8 +376,7 @@ def _step(
         if t:
             up = key + place + top
             out[up] = get(up, 0) + c * t
-    if 0 in out.values():
-        return {key: c for key, c in out.items() if c}
+    # No entry is 0: both contributions to a key share the sign of prod_{j<u} (a - 2jb), j >= 1 for log.
     return out
 
 
@@ -508,8 +502,7 @@ def rescaled_grad_norms(
 ) -> list[Rational]:
     """``grad_norm_sq(n, kind, k, p, weighted, rescaled=True)`` at every point,
     from one walk; ``weighted`` is a plain bool, as there."""
-    for point in points:
-        _validate_norm_args(n, kind, k, point)
+    _validate_norm_args(n, kind, k, points)
     if weighted:
         return _rescaled_sums(n, kind, k, points)
     _check_tuples(n, k)
@@ -530,7 +523,7 @@ def tilde_norm_sq(
     for n = 1 or the power family with s in {0, 2}.  ``rescaled`` has the
     same meaning and exactness caveat as in ``grad_norm_sq``.
     """
-    _validate_norm_args(n, kind, k, point)
+    _validate_norm_args(n, kind, k, [point])
     if k < 1:
         raise ValueError("tilde norm needs order >= 1")
     weights = dict.fromkeys(combinations_with_replacement(range(1, n + 1), k), 1)
@@ -544,7 +537,7 @@ def grad_norm_sq_symbolic(n: int, kind: NormKind, k: int) -> TermSum:
     Built from the multiset enumeration with multinomial weights; the radial
     base of the result is 2s (power) or 0 (logarithm).
     """
-    _validate_norm_args(n, kind, k, None)
+    _validate_norm_args(n, kind, k, ())
     squares = []
     for combo, weight in _multiset_weights(n, k).items():
         u = derivative(n, kind, combo)
@@ -636,8 +629,7 @@ def _dimension_split_checks(n: int, kind: NormKind, k: int, points: Sequence[Sam
         raise ValueError("splitting needs dimension >= 2")
     if k < 1:
         raise ValueError("splitting checks need order >= 1")
-    for point in points:
-        _validate_norm_args(n, kind, k, point)
+    _validate_norm_args(n, kind, k, points)
     _check_tuples(n, k)
 
     # All values at a point share the positive scale Q^k / (b R)^k: compare integer sums.
@@ -699,9 +691,7 @@ def _radial_monomials(u: TermSum, shift: int) -> dict[tuple[int, ...], Fraction]
     for t in u.terms:
         if t.radial_offset % 2:
             raise ValueError("odd radial offset has no polynomial form")
-        e = t.radial_offset // 2 + shift
-        if e < 0:
-            raise ValueError("shift too small to clear negative radial powers")
+        e = t.radial_offset // 2 + shift  # >= 0: callers pass shift >= -(lowest half offset)
         for alpha, mult in _sum_sq_pow(u.n_vars, e):
             beta = tuple(b + 2 * a for b, a in zip(t.monomial, alpha))
             poly[beta] += t.coeff * mult

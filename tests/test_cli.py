@@ -339,6 +339,24 @@ def test_a_malformed_range_is_one_usage_line(capsys, span, message):
         assert (code, out, err) == (EXIT_USAGE, "", message)
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["table", "--norm", "gamma", "--N", "0..2", "--k", "2", "--s", "1"],
+         "dimension range must start at 1 or above"),
+        (["table", "--norm", "gamma", "--N", "2", "--k=-1..2", "--s", "1"],
+         "order range must start at 0 or above"),
+        (["table", "--norm", "gamma", "--N", "2", "--k", "2", "--s", "1", "--methods", ","],
+         "at least one method is required"),
+        (["verify", "--N", "2", "--kind", "logarithm", "--s", "1", "--k", "2"],
+         "logarithm kind takes no --s"),
+    ],
+)
+def test_request_checks_are_one_usage_line(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (EXIT_USAGE, "", f"radnorm: error: {message}\n")
+
+
 def test_cmd_verify_rejects_an_empty_point_list():
     # Only a missing list falls back to the default points.
     with pytest.raises(ValueError, match="at least one sample point is required"):

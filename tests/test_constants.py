@@ -34,7 +34,7 @@ from radnorm.exactnum import (
     pochhammer,
     rational_pow,
 )
-from radnorm.symdiff import SamplePoint, TermSum
+from radnorm.symdiff import SamplePoint, TermSum, grad_norm_sq, rescaled_grad_norms, tilde_norm_sq
 
 # ---------------------------------------------------------------------------
 # closed forms: frozen values
@@ -381,3 +381,48 @@ def test_pochhammer_cache_does_not_grow_with_fresh_exponents():
     after = pochhammer.cache_info()
     assert after.currsize == before.currsize
     assert after.misses == before.misses  # nothing was added and evicted either
+
+
+# ---------------------------------------------------------------------------
+# the shared domain
+
+POWER, LOG = NormKind.power(Fraction(1, 3)), NormKind.logarithm()
+POINT = SamplePoint((1, 2))
+
+# name -> (kind, (n, k) -> call); each entry leaves its domain check to ConstantQuery.
+DOMAIN_ENTRIES = {
+    "gamma_closed": (POWER, lambda n, k: gamma_closed(n, POWER.s, k)),
+    "ell_closed": (LOG, ell_closed),
+    "gamma_recursive": (POWER, lambda n, k: gamma_recursive(n, POWER.s, k)),
+    "ell_recursive": (LOG, ell_recursive),
+    "gamma_special": (POWER, gamma_special),
+    "ell2_special": (LOG, lambda n, k: ell2_special(k)),
+    **{
+        f"{name}-{kind.variant}": (kind, call)
+        for kind in (POWER, LOG)
+        for name, call in {
+            "grad_norm_sq": lambda n, k, kind=kind: grad_norm_sq(n, kind, k, POINT),
+            "rescaled_grad_norms": lambda n, k, kind=kind: rescaled_grad_norms(n, kind, k, [POINT]),
+            "tilde_norm_sq": lambda n, k, kind=kind: tilde_norm_sq(n, kind, k, POINT),
+        }.items()
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "name, where",
+    [(name, where) for name in DOMAIN_ENTRIES for where in ("dimension 0", "order below the least")
+     if (name, where) != ("ell2_special", "dimension 0")],  # ell2_special takes no n
+)
+def test_domain_errors_carry_the_constant_query_wording(name, where):
+    kind, call = DOMAIN_ENTRIES[name]
+    if where == "dimension 0":
+        n, k, message = 0, 2, "dimension must be >= 1"
+    elif kind.is_power:
+        n, k, message = 2, -1, "derivative order must be >= 0"
+    else:
+        n, k, message = 2, 0, "logarithm constants are defined for order >= 1 only"
+    for build in (lambda: ConstantQuery(n, k, kind), lambda: call(n, k)):
+        with pytest.raises(ValueError) as raised:
+            build()
+        assert str(raised.value) == message

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from radnorm import NormKind, SamplePoint, grad_norm_sq
 from radnorm.exactnum import (
     binomial,
     factorial,
@@ -166,3 +168,19 @@ def test_rational_pow_round_trips_random_powers():
         q = rng.randint(1, 4)
         p = rng.randint(-3, 3)
         assert rational_pow(base ** q, Fraction(p, q)) == base ** p
+
+
+def test_rational_pow_with_a_huge_root_degree_fails_fast():
+    # Only 0 and 1 have an integer d-th root below 2^d, so no root is searched.
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="is not rational"):
+        rational_pow(4, Fraction(1, 2 ** 64))
+    with pytest.raises(ValueError, match="is not rational"):
+        rational_pow(Fraction(3, 5), Fraction(1, 2 ** 40))
+    with pytest.raises(ValueError, match="is not rational"):
+        grad_norm_sq(2, NormKind.power(Fraction(1, 2 ** 64)), 1, SamplePoint((1, 1)))
+    assert time.perf_counter() - start < 1.0
+    # The largest degree that still has a root: 2^1024 has 1,025 bits.
+    assert rational_pow(2 ** 1024, Fraction(1, 1024)) == 2
+    assert rational_pow(Fraction(1, 2 ** 1024), Fraction(-3, 1024)) == 8
+    assert rational_pow(1, Fraction(1, 2 ** 64)) == 1

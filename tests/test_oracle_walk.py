@@ -6,7 +6,7 @@ import time
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import lcm
+from math import lcm, prod
 
 import pytest
 from hypothesis import given, settings
@@ -272,3 +272,30 @@ def test_ordered_tuple_routes_raise_before_enumerating():
     assert 4 ** 8 <= MAX_ORDERED_TUPLES < 6 ** 8
     assert dimension_split_check(4, LOG, 8, SamplePoint((1, 2, 0, -1)))
     assert rescaled_grad_norms(6, LOG, 8, [point6], weighted=True) == [ell_closed(6, 8)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    kind=st.one_of(st.just(LOG), st.builds(lambda p, q: NormKind.power(Fraction(p, q)),
+                                           st.integers(-40, 40), st.integers(1, 9))),
+    n=st.integers(1, 4),
+    data=st.data(),
+)
+def test_step_never_cancels_a_coefficient(kind, n, data):
+    # Down and up contributions to one key share the sign of prod_{j<u} (a - 2jb)
+    # (of prod_{1<=j<u} (-2j) for log|x|), so _step has no zero entry to drop.
+    k = data.draw(st.integers(1, 8))
+    axes = data.draw(st.lists(st.integers(1, n), min_size=k, max_size=k))
+    a, b = (kind.s.numerator, kind.s.denominator) if kind.is_power else (0, 1)
+    base, top = k + 1, (k + 1) ** n
+    places = [base ** i for i in range(n)]
+    down_factors = [e * b for e in range(base)]
+    up_factors = [a - 2 * u * b for u in range(k + 1)]
+    roots = [{0: 1}] if kind.is_power else [{places[i] + top: 1} for i in range(n)]
+    for terms in roots:
+        for axis in axes[0 if kind.is_power else 1:]:  # a log root is already order 1
+            terms = symdiff._step(terms, places[axis - 1], base, top, down_factors, up_factors)
+            for key, c in terms.items():
+                u = key // top
+                factors = up_factors[:u] if kind.is_power else range(-2, -2 * u, -2)
+                assert c * prod(factors) > 0, (key, c)

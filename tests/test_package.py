@@ -1,0 +1,70 @@
+"""The package namespace, and the README's library quick tour run as written."""
+
+import ast
+import re
+from pathlib import Path
+
+import radnorm
+from radnorm import constants, exactnum, symdiff
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+EXPORTS = {
+    "__version__",
+    # exactnum
+    "Rational", "as_rational", "parse_rational", "format_rational", "factorial", "pochhammer",
+    "binomial", "rational_pow",
+    # constants
+    "NormKind", "ConstantQuery", "ConstantValue", "METHODS", "FORMULAS", "gamma_closed",
+    "ell_closed", "gamma_1d", "ell_1d", "gamma_even", "gamma_special", "ell2_special",
+    "gamma_recursive", "ell_recursive", "taylor_compose_norm_sq", "half_identity_check",
+    "phi_deriv_at_zero", "power_coeffs", "log_coeffs", "evaluate_query",
+    # symdiff
+    "MAX_DIMENSION", "MAX_ORDER", "MAX_ORDERED_TUPLES", "CapacityError", "Term", "TermSum",
+    "SamplePoint", "VerifyReport", "seed", "seed_order", "differentiate", "laplacian",
+    "derivative", "grad_norm_sq", "grad_norm_sq_symbolic", "rescaled_grad_norms",
+    "tilde_norm_sq", "verify_constancy", "dimension_split_check", "laplacian_recursion_check",
+    "functions_equal", "is_zero_function", "random_rational", "default_sample_points",
+}
+
+
+def test_the_package_exports_exactly_the_module_lists():
+    assert len(EXPORTS) == 53
+    assert sorted(radnorm.__all__) == sorted(EXPORTS)
+    assert radnorm.__all__ == ["__version__", *exactnum.__all__, *constants.__all__, *symdiff.__all__]
+    namespace = {}
+    exec("from radnorm import *", namespace)
+    del namespace["__builtins__"]
+    assert set(namespace) == EXPORTS
+    for module in (exactnum, constants, symdiff):
+        for name in module.__all__:
+            assert namespace[name] is getattr(module, name), name
+
+
+def quick_tour() -> str:
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("## Library quick tour"):]
+    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+def test_the_readme_quick_tour_gives_each_commented_value():
+    # Each expression line ends in "# <repr of its value>", optionally followed
+    # by "== <expr>" for further expressions that must equal it.
+    source = quick_tour()
+    lines = source.splitlines()
+    namespace = {}
+    checked = 0
+    for statement in ast.parse(source).body:
+        code = ast.get_source_segment(source, statement)
+        if not isinstance(statement, ast.Expr):
+            exec(code, namespace)
+            continue
+        value = eval(code, namespace)
+        comment = lines[statement.end_lineno - 1].partition("#")[2].strip()
+        assert comment, code
+        shown, *others = comment.split(" == ")
+        assert shown == repr(value), code
+        for side in others:
+            assert eval(side, namespace) == value, (code, side)
+        checked += 1
+    assert checked >= 5
