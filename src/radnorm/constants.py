@@ -199,11 +199,13 @@ def _recursive_kernel(n: int, k: int, nums: list[int], den: int, evens: list[int
     half = k // 2
     total, weight = 0, 1
     for l in range(half, -1, -1):
-        inner = sum(
-            (c * comb(p, k - p) * comb(k - p, l)) << (2 * p - k)
-            for p, c in zip(range(_ceil_half(k), k - l + 1), nums)
-        )
-        total += weight * inner * inner * index(evens[l])  # a non-integer E raises
+        even = index(evens[l])  # a non-integer E raises
+        if even:  # E(0, l) is 0 for l >= 1: n = 1 needs one inner sum
+            inner = sum(
+                (c * comb(p, k - p) * comb(k - p, l)) << (2 * p - k)
+                for p, c in zip(range(_ceil_half(k), k - l + 1), nums)
+            )
+            total += weight * inner * inner * even
         weight *= (k - 2 * l + 2) * (k - 2 * l + 1) * (2 * l) * (2 * l - 1)
     return Fraction(factorial(k) * total, den * den * factorial(2 * half))
 
@@ -254,21 +256,18 @@ def _even_product(n: int, m: int) -> int:
 
 def gamma_even(n: int, m: int) -> Rational:
     """Constant for the even power s = 2m at order k = 2m: 2^(2m) m! (2m)! (n/2+m-1)_m."""
-    if n < 1:
-        raise ValueError("dimension must be >= 1")
-    if m < 0:
-        raise ValueError("m must be >= 0")
+    ConstantQuery(n, 2 * m, NormKind.power(2 * m))
     return Fraction(_even_product(n, m))
 
 
 def _even_table_deep(n: int, m: int) -> list[int]:
-    # E(n, l) for l = 0..m by the even-order self-recursion up from dimension 1,
-    #   E(1, l) = ((2l)!)^2,  E(n', j) = sum_l (2(j-l))! ((2j)!/(2l)!) C(j,l)^2 E(n'-1, l),
+    # E(n, l) for l = 0..m by the even-order self-recursion up from dimension 0,
+    #   E(0, l) = [l == 0],  E(n', j) = sum_l (2(j-l))! ((2j)!/(2l)!) C(j,l)^2 E(n'-1, l),
     # one table per call; exists solely to let the dimension recursion be tested
     # against itself instead of gamma_even.
     facts = [factorial(2 * l) for l in range(m + 1)]
-    row = [f * f for f in facts]
-    for _ in range(n - 1):
+    row = [_even_product(0, l) for l in range(m + 1)]
+    for _ in range(n):
         row = [
             sum(facts[j - l] * (facts[j] // facts[l]) * comb(j, l) ** 2 * row[l] for l in range(j + 1))
             for j in range(m + 1)
@@ -318,20 +317,16 @@ def gamma_recursive(n: int, s, k: int, deep: bool = False) -> Rational:
     """Power constant by dimension recursion; agrees exactly with gamma_closed.
 
     The inner even-order constants come from the integer product form behind
-    ``gamma_even``; ``deep=True`` instead recurses them up from dimension 1
+    ``gamma_even``; ``deep=True`` instead recurses them up from dimension 0
     in one table per call (self-consistency mode, slower).
     """
     s = ConstantQuery(n, k, NormKind.power(s)).kind.s
-    if n == 1:
-        return gamma_1d(s, k)
     return _recursive_kernel(n, k, *_power_terms(s, k), _evens(n - 1, k, deep))
 
 
 def ell_recursive(n: int, k: int, deep: bool = False) -> Rational:
     """Logarithm constant by dimension recursion; agrees exactly with ell_closed."""
     ConstantQuery(n, k, NormKind.logarithm())
-    if n == 1:
-        return ell_1d(k)
     return _recursive_kernel(n, k, *_log_terms(k), _evens(n - 1, k, deep))
 
 

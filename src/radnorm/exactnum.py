@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import numbers
 import re
+import sys
 from fractions import Fraction
 from functools import lru_cache
 
@@ -46,12 +47,14 @@ def parse_rational(text: str) -> Rational:
     """
     if not _RATIONAL_RE.match(text):
         raise ValueError(f"not a rational in p/q form: {text!r}")
-    num, sep, den = text.partition("/")
-    if sep:
-        if int(den) == 0:
-            raise ValueError(f"zero denominator: {text!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(num))
+    num, _, den = text.partition("/")
+    try:
+        num, den = int(num), int(den or 1)
+    except ValueError:  # the pattern matched, so only int()'s digit limit is left
+        raise ValueError(f"numerator or denominator over {sys.get_int_max_str_digits()} digits") from None
+    if den == 0:
+        raise ValueError(f"zero denominator: {text!r}")
+    return Fraction(num, den)
 
 
 def as_rational(value) -> Rational:
@@ -68,8 +71,19 @@ def as_rational(value) -> Rational:
 
 
 def format_rational(value) -> str:
-    """Render a value in the wire format "p/q" ("p" when the denominator is 1)."""
-    return str(as_rational(value))
+    """Render a value in the wire format "p/q" ("p" when the denominator is 1).
+
+    Values past int()'s process-wide digit limit go through ``Decimal``,
+    which has none; the limit itself is left alone.
+    """
+    value = as_rational(value)
+    try:
+        return str(value)
+    except ValueError:
+        from decimal import Decimal
+
+        num, den = Decimal(value.numerator), Decimal(value.denominator)
+        return f"{num}/{den}" if den != 1 else f"{num}"
 
 
 def factorial(k: int) -> int:

@@ -12,8 +12,8 @@ class is closed under partial differentiation:
     d/dx_i [x^beta r^t] = beta_i x^(beta - e_i) r^t + t x^(beta + e_i) r^(t-2).
 
 Every step keeps ``j`` even, so dividing the common r^b factor out leaves
-only integer powers of r^2.  log r lies outside the class, so logarithm-kind
-computations seed at order 1 with the gradient components x_i * r^(-2).
+only integer powers of r^2.  log r lies outside the class, so ``seed`` starts
+logarithm-kind sums at order 1 with the gradient components x_i * r^(-2).
 
 ``TermSum`` keeps such sums canonical, with Fraction coefficients, for the
 symbolic identities; ``functions_equal`` clears negative powers of r^2 and
@@ -267,8 +267,7 @@ def seed(n: int, kind: NormKind) -> tuple[TermSum, ...]:
     components {x_i * r^(-2)}, i.e. the order-1 derivatives, since log r
     itself lies outside the term class.
     """
-    if n < 1:
-        raise ValueError("dimension must be >= 1")
+    ConstantQuery(n, seed_order(kind), kind)
     if kind.is_power:
         return (TermSum.single(n, kind.s, (0,) * n, 0, 1),)
     components = []
@@ -376,7 +375,7 @@ def _step(
         if t:
             up = key + place + top
             out[up] = get(up, 0) + c * t
-    # No entry is 0: both contributions to a key share the sign of prod_{j<u} (a - 2jb), j >= 1 for log.
+    # No entry is 0: both contributions to a key share the sign of prod_{j<u} up_factors[j].
     return out
 
 
@@ -385,18 +384,21 @@ def _walk(n: int, kind: NormKind, k: int, table: _MonomialTable):
     sorted multiset of k axes in 1..n, from one depth-first walk.
 
     A node holds {key: c} for sum c x^beta r^(s - 2u) / b^depth with
-    s = a/b (a = 0, b = 1 for log|x|) and key = sum beta_i B^i + u B^n,
-    B = k + 1: no exponent and no u exceeds the depth, so every digit
-    fits.  A child is its parent differentiated along an axis >= the
-    parent's last, so only the current path is held, and the multinomial
-    weight grows along it by (depth + 1) / (multiplicity of the new axis).
-    Each leaf is S = sum c P^beta R^(k-u) at every point of ``table``.
+    s = a/b and key = sum beta_i B^i + u B^n, B = k + 1: no exponent and
+    no u exceeds the depth, so every digit fits.  Both families start at
+    the root {0: 1}: log|x| is r^s / s at s = 0 (a = 0, b = 1), whose first
+    step gives x_i r^-2.  A child is its parent differentiated along an
+    axis >= the parent's last, so only the current path is held, and the
+    multinomial weight grows along it by (depth + 1) / (multiplicity of the
+    new axis).  Each leaf is S = sum c P^beta R^(k-u) at every point of ``table``.
     """
     a, b = (kind.s.numerator, kind.s.denominator) if kind.is_power else (0, 1)
     base, top = table.base, table.top
     places = [base ** i for i in range(n)]
     down_factors = [e * b for e in range(base)]
     up_factors = [a - 2 * u * b for u in range(k + 1)]
+    if not kind.is_power:
+        up_factors[0] = 1  # d(r^s / s) = x_i r^(s-2) at s = 0
     points = len(table.scales)
 
     def leaf(terms: dict) -> list[int]:
@@ -405,31 +407,24 @@ def _walk(n: int, kind: NormKind, k: int, table: _MonomialTable):
         coeffs = terms.values()
         return [sum(map(mul, coeffs, column)) for column in zip(*map(table.__getitem__, terms))]
 
-    if kind.is_power:
-        roots = [({0: 1}, ())]
-    else:
-        roots = [({places[i] + top: 1}, (i + 1,)) for i in range(n)]
-    for terms, combo in roots:
-        if len(combo) == k:
-            yield combo, 1, leaf(terms)
+    # The path from the root: each node's terms, combo, weight, trailing
+    # multiplicity and the axes its children have left to take.
+    path = [({0: 1}, (), 1, 0, iter(range(1, n + 1)))]
+    while path:
+        terms, combo, weight, run, axes = path[-1]
+        depth = len(combo)
+        if depth == k:
+            path.pop()
+            yield combo, weight, leaf(terms)
             continue
-        # The path from the root: each node's terms, combo, weight, trailing
-        # multiplicity and the axes its children have left to take.
-        path = [(terms, combo, 1, len(combo), iter(range(max(combo, default=1), n + 1)))]
-        while path:
-            terms, combo, weight, run, axes = path[-1]
-            axis = next(axes, 0)
-            if not axis:
-                path.pop()
-                continue
-            depth = len(combo) + 1
-            count = run + 1 if combo and axis == combo[-1] else 1
-            child = _step(terms, places[axis - 1], base, top, down_factors, up_factors)
-            child_combo, child_weight = combo + (axis,), weight * depth // count
-            if depth < k:
-                path.append((child, child_combo, child_weight, count, iter(range(axis, n + 1))))
-            else:
-                yield child_combo, child_weight, leaf(child)
+        axis = next(axes, 0)
+        if not axis:
+            path.pop()
+            continue
+        count = run + 1 if combo and axis == combo[-1] else 1
+        child = _step(terms, places[axis - 1], base, top, down_factors, up_factors)
+        path.append((child, combo + (axis,), weight * (depth + 1) // count, count,
+                     iter(range(axis, n + 1))))
 
 
 def _leaf_values(
@@ -483,8 +478,6 @@ def grad_norm_sq(
     tuples with the multinomial weight k!/prod(multiplicities!);
     ``weighted=False`` walks all n^k ordered tuples and raises CapacityError
     when n^k exceeds MAX_ORDERED_TUPLES.  Both return the identical Rational.
-    ``weighted`` is a plain bool: ``None`` no longer picks a route by k, and
-    like ``False`` it takes the ordered tuples.
 
     By default the raw value is returned; for the power family with
     fractional s that raw value is r^(2s) times a rational and may be
@@ -501,7 +494,7 @@ def rescaled_grad_norms(
     n: int, kind: NormKind, k: int, points: Sequence[SamplePoint], weighted: bool = True
 ) -> list[Rational]:
     """``grad_norm_sq(n, kind, k, p, weighted, rescaled=True)`` at every point,
-    from one walk; ``weighted`` is a plain bool, as there."""
+    from one walk."""
     _validate_norm_args(n, kind, k, points)
     if weighted:
         return _rescaled_sums(n, kind, k, points)
@@ -563,8 +556,7 @@ def verify_constancy(
     one ray only re-test homogeneity); for n = 1 one point suffices since
     every pair is proportional there.
     """
-    if k < 1:
-        raise ValueError("constancy checks need order >= 1")
+    query = ConstantQuery(n, k, kind)
     if not points:
         raise ValueError("at least one sample point is required")
     if any(len(p.coords) != n for p in points):
@@ -604,7 +596,7 @@ def verify_constancy(
                 + ", ".join(f"{m}={format_rational(v)}" for m, v in wrong.items())
             )
     return VerifyReport(
-        ConstantQuery(n, k, kind), method_values, list(zip(points, values)),
+        query, method_values, list(zip(points, values)),
         verdict, detail, (marks[-1] - start) * 1000.0, stage_ms,
     )
 
@@ -625,11 +617,9 @@ def dimension_split_check(n: int, kind: NormKind, k: int, point: SamplePoint) ->
 
 def _dimension_split_checks(n: int, kind: NormKind, k: int, points: Sequence[SamplePoint]) -> list[bool]:
     """``dimension_split_check`` at every point, from one walk."""
+    _validate_norm_args(n, kind, k, points)
     if n < 2:
         raise ValueError("splitting needs dimension >= 2")
-    if k < 1:
-        raise ValueError("splitting checks need order >= 1")
-    _validate_norm_args(n, kind, k, points)
     _check_tuples(n, k)
 
     # All values at a point share the positive scale Q^k / (b R)^k: compare integer sums.
@@ -659,12 +649,11 @@ def laplacian_recursion_check(n: int, k: int) -> bool:
     where gamma is the order-k constant at s = -(n-2).  Verified as an exact
     symbolic identity.
     """
-    if n < 1:
-        raise ValueError("dimension must be >= 1")
+    kind = NormKind.power(2 - n)
+    ConstantQuery(n, k, kind)
     if k < 1:
         raise ValueError("the recursion starts at order 1")
     _check_scale(n, k)
-    kind = NormKind.power(Fraction(2 - n))
     norm_sq = grad_norm_sq_symbolic(n, kind, k - 1)
     lhs = norm_sq.laplacian()
     expected = TermSum.single(

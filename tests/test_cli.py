@@ -5,6 +5,7 @@ import os
 import stat
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -28,7 +29,7 @@ from radnorm.cli import (
     cmd_verify,
     main,
 )
-from radnorm.constants import FORMULAS, NormKind
+from radnorm.constants import FORMULAS, NormKind, gamma_closed
 from radnorm.exactnum import format_rational, parse_rational
 from radnorm.symdiff import (
     MAX_ORDERED_TUPLES,
@@ -193,6 +194,24 @@ def test_table_special_column_is_blank_exactly_where_the_registry_has_no_form(ca
         kind = NormKind.power(parse_rational(s)) if s else NormKind.logarithm()
         value = FORMULAS["special"](int(n), kind, int(k))
         assert special == ("" if value is None else format_rational(value))
+
+
+def test_a_value_past_the_int_digit_limit_is_written_in_full(capsys):
+    code, out, err = run(capsys, "table", "--norm", "gamma", "--N", "2", "--k", "400", "--s=1000001/3")
+    assert (code, err) == (EXIT_OK, "")
+    text = out.splitlines()[1].split()[-1]
+    assert len(text) > sys.get_int_max_str_digits()
+    # Decimal converts without the digit limit that int() applies to text.
+    value = Fraction(*(int(Decimal(part)) for part in text.split("/")))
+    assert value == gamma_closed(2, Fraction(1000001, 3), 400)
+
+
+def test_an_exponent_past_the_int_digit_limit_is_one_usage_line(capsys):
+    limit = sys.get_int_max_str_digits()
+    argv = ["table", "--norm", "gamma", "--N", "2", "--k", "2", "--s=1/" + "3" * (limit + 1)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"radnorm: error: numerator or denominator over {limit} digits\n"
 
 
 # ---------------------------------------------------------------------------

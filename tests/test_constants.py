@@ -4,12 +4,14 @@ from fractions import Fraction
 import pytest
 
 from golden import ELL_POLYS, GAMMA_POLYS, S_VALUES
+from radnorm import constants
 from radnorm.constants import (
     FORMULAS,
     METHODS,
     ConstantQuery,
     ConstantValue,
     NormKind,
+    _even_table_deep,
     ell2_special,
     ell_1d,
     ell_closed,
@@ -34,7 +36,17 @@ from radnorm.exactnum import (
     pochhammer,
     rational_pow,
 )
-from radnorm.symdiff import SamplePoint, TermSum, grad_norm_sq, rescaled_grad_norms, tilde_norm_sq
+from radnorm.symdiff import (
+    SamplePoint,
+    TermSum,
+    dimension_split_check,
+    grad_norm_sq,
+    laplacian_recursion_check,
+    rescaled_grad_norms,
+    seed,
+    tilde_norm_sq,
+    verify_constancy,
+)
 
 # ---------------------------------------------------------------------------
 # closed forms: frozen values
@@ -144,6 +156,30 @@ def test_deep_recursion_agrees():
             )
             if k >= 1:
                 assert ell_recursive(n, k, deep=True) == ell_closed(n, k)
+
+
+def test_the_recursion_reaches_no_closed_form_at_any_dimension(monkeypatch):
+    # The recursion starts from E(0, l) = [l == 0], so n = 1 is its own case
+    # and must not hand off to the one-dimensional closed form.
+    def closed_form(*args):
+        raise AssertionError("the recursion reached the closed form")
+
+    for name in ("_closed_kernel", "gamma_closed", "ell_closed", "gamma_1d", "ell_1d"):
+        monkeypatch.setattr(constants, name, closed_form)
+    for deep in (False, True):
+        for k in range(12):
+            for s in S_VALUES:
+                assert gamma_recursive(1, s, k, deep) == pochhammer(s, k) ** 2
+            if k >= 1:
+                assert ell_recursive(1, k, deep) == factorial(k - 1) ** 2
+        for n in (2, 3):
+            assert gamma_recursive(n, 3, 3, deep) == GAMMA_POLYS[3](Fraction(3), n)
+            assert ell_recursive(n, 3, deep) == ELL_POLYS[3](n)
+
+
+def test_deep_even_table_starts_at_dimension_zero():
+    for m in range(6):
+        assert _even_table_deep(0, m) == [1] + [0] * m
 
 
 def test_specialization():
@@ -387,7 +423,7 @@ def test_pochhammer_cache_does_not_grow_with_fresh_exponents():
 # the shared domain
 
 POWER, LOG = NormKind.power(Fraction(1, 3)), NormKind.logarithm()
-POINT = SamplePoint((1, 2))
+POINT, OTHER = SamplePoint((1, 2)), SamplePoint((2, 1))
 
 # name -> (kind, (n, k) -> call); each entry leaves its domain check to ConstantQuery.
 DOMAIN_ENTRIES = {
@@ -397,6 +433,8 @@ DOMAIN_ENTRIES = {
     "ell_recursive": (LOG, ell_recursive),
     "gamma_special": (POWER, gamma_special),
     "ell2_special": (LOG, lambda n, k: ell2_special(k)),
+    "gamma_even": (POWER, lambda n, k: gamma_even(n, k // 2)),  # order 2m
+    "laplacian_recursion_check": (POWER, laplacian_recursion_check),
     **{
         f"{name}-{kind.variant}": (kind, call)
         for kind in (POWER, LOG)
@@ -404,6 +442,8 @@ DOMAIN_ENTRIES = {
             "grad_norm_sq": lambda n, k, kind=kind: grad_norm_sq(n, kind, k, POINT),
             "rescaled_grad_norms": lambda n, k, kind=kind: rescaled_grad_norms(n, kind, k, [POINT]),
             "tilde_norm_sq": lambda n, k, kind=kind: tilde_norm_sq(n, kind, k, POINT),
+            "verify_constancy": lambda n, k, kind=kind: verify_constancy(n, kind, k, [POINT, OTHER]),
+            "dimension_split_check": lambda n, k, kind=kind: dimension_split_check(n, kind, k, POINT),
         }.items()
     },
 }
@@ -426,3 +466,11 @@ def test_domain_errors_carry_the_constant_query_wording(name, where):
         with pytest.raises(ValueError) as raised:
             build()
         assert str(raised.value) == message
+
+
+def test_seed_and_the_laplacian_check_keep_only_the_recursion_start_of_their_own():
+    for kind in (POWER, LOG):
+        with pytest.raises(ValueError, match="^dimension must be >= 1$"):
+            seed(0, kind)
+    with pytest.raises(ValueError, match="^the recursion starts at order 1$"):
+        laplacian_recursion_check(2, 0)

@@ -1,5 +1,7 @@
 import random
+import sys
 import time
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd
 
@@ -136,6 +138,16 @@ def test_parse_then_format_is_the_reduced_form(p, q, sign):
 def test_parse_rejects_malformed_input(bad):
     with pytest.raises(ValueError):
         parse_rational(bad)
+
+
+def test_values_past_the_int_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    value = Fraction(-(10 ** limit) - 7, 3 ** 10_000)  # 4,301 and 4,772 digits at the default
+    num, den = format_rational(value).split("/")
+    assert Fraction(int(Decimal(num)), int(Decimal(den))) == value
+    assert sys.get_int_max_str_digits() == limit  # the process-wide limit is untouched
+    with pytest.raises(ValueError, match=f"^numerator or denominator over {limit} digits$"):
+        parse_rational("1/" + "3" * (limit + 1))
 
 
 def test_division_by_zero_is_an_error():

@@ -370,6 +370,18 @@ def test_verify_constancy_preconditions():
     assert verify_constancy(1, LOG, 2, [pt(1), pt(2)]).exact_match
 
 
+def test_power_order_zero_is_the_constant_one():
+    for s in (3, Fraction(-1, 2)):
+        kind = NormKind.power(s)
+        for points in ([pt(2)], [pt(1, 0), pt(1, 2)], [pt(1, 0, 0), pt(1, 2, 2)]):
+            report = verify_constancy(len(points[0].coords), kind, 0, points)
+            assert report.verdict == "exact-match"
+            assert report.method_values == {"closed": 1, "recursive": 1}
+            assert {v for _, v in report.point_values} == {1}
+        assert dimension_split_check(2, kind, 0, pt(1, 2))
+        assert dimension_split_check(3, kind, 0, pt(1, 2, 2))
+
+
 def test_dimension_split_check_examples():
     assert dimension_split_check(2, NormKind.power(3), 2, pt(1, 2))
     assert dimension_split_check(3, LOG, 2, pt(1, 1, 1))
