@@ -192,19 +192,20 @@ def _closed_kernel(n: int, k: int, nums: list[int], den: int) -> Rational:
 
 
 def _recursive_kernel(n: int, k: int, nums: list[int], den: int, evens: list[int]) -> Rational:
-    # k! sum_l (k-2l)!/(2l)! (sum_p 2^(2p-k) c_p C(p,k-p) C(k-p,l))^2 E(n-1, l)
-    # with c_p = nums[p - ceil(k/2)] / den and E(n-1, l) = evens[l], an int.
+    # k! sum_l (k-2l)!/(2l)! (sum_p d_p C(k-p,l))^2 E(n-1, l)
+    # with d_p = 2^(2p-k) c_p C(p,k-p), c_p = nums[p - ceil(k/2)] / den, and
+    # E(n-1, l) = evens[l], an int.  d_p does not depend on l: one comb per p,
+    # then one per (p, l) term.
     # Over T = (2 floor(k/2))! each term is an integer with weight (k-2l)! T/(2l)!,
     # which is 1 at l = floor(k/2) and is built up from there.
     half = k // 2
+    lo = _ceil_half(k)
+    ds = [(c * comb(p, k - p)) << (2 * p - k) for p, c in zip(range(lo, k + 1), nums)]
     total, weight = 0, 1
     for l in range(half, -1, -1):
         even = index(evens[l])  # a non-integer E raises
         if even:  # E(0, l) is 0 for l >= 1: n = 1 needs one inner sum
-            inner = sum(
-                (c * comb(p, k - p) * comb(k - p, l)) << (2 * p - k)
-                for p, c in zip(range(_ceil_half(k), k - l + 1), nums)
-            )
+            inner = sum(d * comb(k - p, l) for p, d in zip(range(lo, k - l + 1), ds))
             total += weight * inner * inner * even
         weight *= (k - 2 * l + 2) * (k - 2 * l + 1) * (2 * l) * (2 * l - 1)
     return Fraction(factorial(k) * total, den * den * factorial(2 * half))
@@ -276,10 +277,12 @@ def _even_table_deep(n: int, m: int) -> list[int]:
 
 
 def _evens(n: int, k: int, deep: bool = False) -> list[int]:
-    # E(n, l) for l = 0..floor(k/2), the even-order constants the recursion consumes.
+    # E(n, l) for l = 0..floor(k/2), the even-order constants the recursion consumes,
+    # as one running product E(n, l+1) = E(n, l) 2(l+1)(2l+1)(2l+2)(n+2l) from E(n, 0) = 1.
     if deep:
         return _even_table_deep(n, k // 2)
-    return [_even_product(n, l) for l in range(k // 2 + 1)]
+    ratios = (2 * (l + 1) * (2 * l + 1) * (2 * l + 2) * (n + 2 * l) for l in range(k // 2))
+    return [*accumulate(ratios, mul, initial=1)]
 
 
 def gamma_special(n: int, k: int) -> Rational:

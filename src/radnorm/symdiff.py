@@ -517,8 +517,6 @@ def tilde_norm_sq(
     same meaning and exactness caveat as in ``grad_norm_sq``.
     """
     _validate_norm_args(n, kind, k, [point])
-    if k < 1:
-        raise ValueError("tilde norm needs order >= 1")
     weights = dict.fromkeys(combinations_with_replacement(range(1, n + 1), k), 1)
     (value,) = _rescaled_sums(n, kind, k, [point], weights)
     return value if rescaled else _unrescale(kind, k, point, value)
@@ -610,13 +608,21 @@ def dimension_split_check(n: int, kind: NormKind, k: int, point: SamplePoint) ->
     Both sides are evaluated exactly; a correct implementation always
     returns True.  Both enumerate ordered index tuples, so n^k may not
     exceed MAX_ORDERED_TUPLES (CapacityError).
+
+    This is a counting identity: both sides weight each sorted multiset m
+    by k!/prod(m!), since C(k, j) times the (n-1)-multinomial of the first
+    j indices is the n-multinomial.  So it holds for any leaf values and
+    does not test the derivatives themselves.
     """
     (ok,) = _dimension_split_checks(n, kind, k, [point])
     return ok
 
 
 def _dimension_split_checks(n: int, kind: NormKind, k: int, points: Sequence[SamplePoint]) -> list[bool]:
-    """``dimension_split_check`` at every point, from one walk."""
+    """``dimension_split_check`` at every point, from one walk.
+
+    Like it, a counting identity: True for any leaf values the walk yields.
+    """
     _validate_norm_args(n, kind, k, points)
     if n < 2:
         raise ValueError("splitting needs dimension >= 2")

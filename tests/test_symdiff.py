@@ -324,9 +324,13 @@ def test_tilde_order_two_displayed_formulas():
                 assert tilde_norm_sq(n, NormKind.power(s), 2, p, rescaled=True) == expected
 
 
-def test_tilde_rejects_order_zero():
-    with pytest.raises(ValueError):
-        tilde_norm_sq(2, NormKind.power(1), 0, pt(1, 1))
+def test_tilde_order_zero_follows_the_constant_query():
+    power = NormKind.power(1)
+    for p in (pt(1, 1), pt(3, Fraction(-1, 2))):
+        assert tilde_norm_sq(2, power, 0, p, rescaled=True) == 1
+        assert tilde_norm_sq(2, power, 0, p) == grad_norm_sq(2, power, 0, p) == p.r_sq
+    with pytest.raises(ValueError, match="^logarithm constants are defined for order >= 1 only$"):
+        tilde_norm_sq(2, LOG, 0, pt(1, 1))
 
 
 # ---------------------------------------------------------------------------
