@@ -139,7 +139,13 @@ def power_coeffs(s) -> Callable[[int], Rational]:
 
 def log_coeffs() -> Callable[[int], Rational]:
     """Taylor coefficients of (1/2)log(1+t): n -> (-1)^(n-1) / (2n) for n >= 1."""
-    return lambda n: Fraction((-1) ** (n - 1), 2 * n)
+
+    def coeff(n: int) -> Rational:
+        if n < 1:
+            raise ValueError("logarithm coefficients are defined for n >= 1 only")
+        return Fraction(1 if n % 2 else -1, 2 * n)
+
+    return coeff
 
 
 def _power_terms(s: Rational, k: int) -> tuple[list[int], int]:
@@ -261,26 +267,9 @@ def gamma_even(n: int, m: int) -> Rational:
     return Fraction(_even_product(n, m))
 
 
-def _even_table_deep(n: int, m: int) -> list[int]:
-    # E(n, l) for l = 0..m by the even-order self-recursion up from dimension 0,
-    #   E(0, l) = [l == 0],  E(n', j) = sum_l (2(j-l))! ((2j)!/(2l)!) C(j,l)^2 E(n'-1, l),
-    # one table per call; exists solely to let the dimension recursion be tested
-    # against itself instead of gamma_even.
-    facts = [factorial(2 * l) for l in range(m + 1)]
-    row = [_even_product(0, l) for l in range(m + 1)]
-    for _ in range(n):
-        row = [
-            sum(facts[j - l] * (facts[j] // facts[l]) * comb(j, l) ** 2 * row[l] for l in range(j + 1))
-            for j in range(m + 1)
-        ]
-    return row
-
-
-def _evens(n: int, k: int, deep: bool = False) -> list[int]:
+def _evens(n: int, k: int) -> list[int]:
     # E(n, l) for l = 0..floor(k/2), the even-order constants the recursion consumes,
     # as one running product E(n, l+1) = E(n, l) 2(l+1)(2l+1)(2l+2)(n+2l) from E(n, 0) = 1.
-    if deep:
-        return _even_table_deep(n, k // 2)
     ratios = (2 * (l + 1) * (2 * l + 1) * (2 * l + 2) * (n + 2 * l) for l in range(k // 2))
     return [*accumulate(ratios, mul, initial=1)]
 
@@ -302,35 +291,34 @@ def ell2_special(k: int) -> Rational:
 
 
 def taylor_compose_norm_sq(n: int, k: int, coeffs: Callable[[int], Rational]) -> Rational:
-    """Squared k-th derivative-tensor norm at the origin of f(rho) on R^n, n >= 2.
+    """Squared k-th derivative-tensor norm at the origin of f(rho) on R^n, n >= 1.
 
     Here rho(x) = |x + e_n|^2 - 1 and f(t) = sum_p coeffs(p) t^p is an
     analytic profile; only coeffs(p) for ceil(k/2) <= p <= k are consumed.
     With coeffs from ``power_coeffs(s)`` this reproduces the power constant,
     with ``log_coeffs()`` the logarithm constant.
     """
-    if n < 2:
-        raise ValueError("dimension must be >= 2; the scalar case folds into gamma_1d/ell_1d")
+    if n < 1:
+        raise ValueError("dimension must be >= 1")
     if k < 0:
         raise ValueError("derivative order must be >= 0")
     return _recursive_kernel(n, k, *_profile_terms(coeffs, k), _evens(n - 1, k))
 
 
-def gamma_recursive(n: int, s, k: int, deep: bool = False) -> Rational:
+def gamma_recursive(n: int, s, k: int) -> Rational:
     """Power constant by dimension recursion; agrees exactly with gamma_closed.
 
     The inner even-order constants come from the integer product form behind
-    ``gamma_even``; ``deep=True`` instead recurses them up from dimension 0
-    in one table per call (self-consistency mode, slower).
+    ``gamma_even``.
     """
     s = ConstantQuery(n, k, NormKind.power(s)).kind.s
-    return _recursive_kernel(n, k, *_power_terms(s, k), _evens(n - 1, k, deep))
+    return _recursive_kernel(n, k, *_power_terms(s, k), _evens(n - 1, k))
 
 
-def ell_recursive(n: int, k: int, deep: bool = False) -> Rational:
+def ell_recursive(n: int, k: int) -> Rational:
     """Logarithm constant by dimension recursion; agrees exactly with ell_closed."""
     ConstantQuery(n, k, NormKind.logarithm())
-    return _recursive_kernel(n, k, *_log_terms(k), _evens(n - 1, k, deep))
+    return _recursive_kernel(n, k, *_log_terms(k), _evens(n - 1, k))
 
 
 def _half_identity_sides(nu: Rational, m: int) -> tuple[int, int]:

@@ -742,27 +742,22 @@ def _fixed_sample_points(n: int) -> tuple[SamplePoint, ...]:
     return tuple(SamplePoint(coords) for coords in dict.fromkeys(fixed))
 
 
-def default_sample_points(n: int, seed: int = 0, extra: int = 2) -> list[SamplePoint]:
-    """Deterministic sample points: a fixed set plus seeded random rationals.
+def default_sample_points(n: int, seed: int = 0) -> list[SamplePoint]:
+    """Deterministic sample points: a fixed set plus two seeded random rationals.
 
     The fixed set is e_1, (1,...,1), (1,2,...,n) and, for n >= 2, (3,4,0,...);
-    duplicates collapse (all four coincide at n = 1).  ``extra`` further
-    points have coordinates p/q with |p| <= 7, q <= 7.
+    duplicates collapse (all four coincide at n = 1).  The two seeded points
+    have coordinates p/q with |p| <= 7, q <= 7.
     """
     if n < 1:
         raise ValueError("dimension must be >= 1")
-    points = list(_fixed_sample_points(n))
-    seen = {p.coords for p in points}
+    fixed = _fixed_sample_points(n)
+    points = list(fixed)
     rng = random.Random(seed)
-    attempts = 0
-    while extra > 0:
-        attempts += 1
-        if attempts > 1000:
-            raise RuntimeError("could not draw enough distinct sample points")
+    for _ in range(1000):
         coords = tuple(random_rational(rng) for _ in range(n))
-        if all(c == 0 for c in coords) or coords in seen:
-            continue
-        seen.add(coords)
-        points.append(SamplePoint(coords))
-        extra -= 1
-    return points
+        if any(coords) and SamplePoint(coords) not in points:
+            points.append(SamplePoint(coords))
+            if len(points) == len(fixed) + 2:
+                return points
+    raise RuntimeError("could not draw enough distinct sample points")

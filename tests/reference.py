@@ -92,6 +92,15 @@ def reference_gamma_even_deep(n, m, memo=None):
     return memo[n, m]
 
 
+def reference_even_table(n, k, memo=None):
+    """E(n, l) for l = 0..floor(k/2) as the ints the recursive kernel takes:
+    E(0, l) = [l == 0], and ``reference_gamma_even_deep`` above dimension 0."""
+    table = [Fraction(l == 0) if n == 0 else reference_gamma_even_deep(n, l, memo)
+             for l in range(k // 2 + 1)]
+    assert all(e.denominator == 1 for e in table), (n, k)
+    return [e.numerator for e in table]
+
+
 def reference_gamma_special(n, k):
     """2^k (n/2 + k - 2)_k (n + k - 3)_k."""
     return Fraction(2) ** k * pochhammer(Fraction(n, 2) + k - 2, k) * pochhammer(

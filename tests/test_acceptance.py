@@ -152,7 +152,7 @@ def test_criterion_07_half_identity():
 def test_criterion_08_dimension_splitting():
     with _Budget(8, 30.0):
         for n in (2, 3):
-            points = default_sample_points(n, seed=8, extra=2)[:5]
+            points = default_sample_points(n, seed=8)[:5]
             assert len(points) == 5
             for kind in (NormKind.power(3), NormKind.power(Fraction(-1, 2)), LOG):
                 for k in range(1, 5):
@@ -200,7 +200,7 @@ def test_criterion_11_vanishing_locus():
     with _Budget(11, 5.0):
         for m in range(4):
             for n in range(1, 6):
-                points = default_sample_points(n, seed=11, extra=0)
+                points = default_sample_points(n, seed=11)[:-2]
                 for k in range(2 * m + 1, 2 * m + 5):
                     assert gamma_closed(n, 2 * m, k) == 0
                     kind = NormKind.power(2 * m)

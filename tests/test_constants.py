@@ -11,7 +11,10 @@ from radnorm.constants import (
     ConstantQuery,
     ConstantValue,
     NormKind,
-    _even_table_deep,
+    _evens,
+    _log_terms,
+    _power_terms,
+    _recursive_kernel,
     ell2_special,
     ell_1d,
     ell_closed,
@@ -47,6 +50,7 @@ from radnorm.symdiff import (
     tilde_norm_sq,
     verify_constancy,
 )
+from reference import reference_even_table
 
 # ---------------------------------------------------------------------------
 # closed forms: frozen values
@@ -148,14 +152,21 @@ def test_closed_equals_recursive_on_grid():
                 assert ell_closed(n, k) == ell_recursive(n, k)
 
 
+def _deep_gamma(n, s, k):
+    # The recursive kernel fed E(n-1, l) from the Fraction self-recursion in reference.py.
+    return _recursive_kernel(n, k, *_power_terms(Fraction(s), k), reference_even_table(n - 1, k))
+
+
+def _deep_ell(n, k):
+    return _recursive_kernel(n, k, *_log_terms(k), reference_even_table(n - 1, k))
+
+
 def test_deep_recursion_agrees():
     for n in range(1, 5):
         for k in range(6):
-            assert gamma_recursive(n, Fraction(5, 2), k, deep=True) == gamma_closed(
-                n, Fraction(5, 2), k
-            )
+            assert _deep_gamma(n, Fraction(5, 2), k) == gamma_closed(n, Fraction(5, 2), k)
             if k >= 1:
-                assert ell_recursive(n, k, deep=True) == ell_closed(n, k)
+                assert _deep_ell(n, k) == ell_closed(n, k)
 
 
 def test_the_recursion_reaches_no_closed_form_at_any_dimension(monkeypatch):
@@ -166,20 +177,20 @@ def test_the_recursion_reaches_no_closed_form_at_any_dimension(monkeypatch):
 
     for name in ("_closed_kernel", "gamma_closed", "ell_closed", "gamma_1d", "ell_1d"):
         monkeypatch.setattr(constants, name, closed_form)
-    for deep in (False, True):
+    for gamma, ell in ((gamma_recursive, ell_recursive), (_deep_gamma, _deep_ell)):
         for k in range(12):
             for s in S_VALUES:
-                assert gamma_recursive(1, s, k, deep) == pochhammer(s, k) ** 2
+                assert gamma(1, s, k) == pochhammer(s, k) ** 2
             if k >= 1:
-                assert ell_recursive(1, k, deep) == factorial(k - 1) ** 2
+                assert ell(1, k) == factorial(k - 1) ** 2
         for n in (2, 3):
-            assert gamma_recursive(n, 3, 3, deep) == GAMMA_POLYS[3](Fraction(3), n)
-            assert ell_recursive(n, 3, deep) == ELL_POLYS[3](n)
+            assert gamma(n, 3, 3) == GAMMA_POLYS[3](Fraction(3), n)
+            assert ell(n, 3) == ELL_POLYS[3](n)
 
 
-def test_deep_even_table_starts_at_dimension_zero():
+def test_even_table_starts_at_dimension_zero():
     for m in range(6):
-        assert _even_table_deep(0, m) == [1] + [0] * m
+        assert _evens(0, 2 * m) == reference_even_table(0, 2 * m) == [1] + [0] * m
 
 
 def test_specialization():
@@ -275,9 +286,22 @@ def test_taylor_compose_reproduces_both_families():
                 assert taylor_compose_norm_sq(n, k, log_coeffs()) == ell_recursive(n, k)
 
 
-def test_taylor_compose_rejects_dimension_one():
-    with pytest.raises(ValueError):
-        taylor_compose_norm_sq(1, 2, power_coeffs(3))
+def test_taylor_compose_at_dimension_one_is_the_closed_form():
+    for k in range(30):
+        for s in S_VALUES:
+            assert taylor_compose_norm_sq(1, k, power_coeffs(s)) == gamma_closed(1, s, k)
+        if k >= 1:
+            assert taylor_compose_norm_sq(1, k, log_coeffs()) == ell_closed(1, k)
+
+
+def test_log_coeffs_start_at_order_one():
+    coeff = log_coeffs()
+    assert [coeff(n) for n in range(1, 5)] == [Fraction(1, 2), Fraction(-1, 4), Fraction(1, 6), Fraction(-1, 8)]
+    for n in (0, -1, -4):
+        with pytest.raises(ValueError, match="^logarithm coefficients are defined for n >= 1 only$"):
+            coeff(n)
+    with pytest.raises(ValueError, match="^logarithm coefficients are defined for n >= 1 only$"):
+        taylor_compose_norm_sq(2, 0, coeff)
 
 
 def test_taylor_compose_consumes_only_supported_indices():
@@ -425,8 +449,10 @@ def test_pochhammer_cache_does_not_grow_with_fresh_exponents():
 POWER, LOG = NormKind.power(Fraction(1, 3)), NormKind.logarithm()
 POINT, OTHER = SamplePoint((1, 2)), SamplePoint((2, 1))
 
-# name -> (kind, (n, k) -> call); each entry leaves its domain check to ConstantQuery.
+# name -> (kind, (n, k) -> call); each entry leaves its domain check to ConstantQuery,
+# except taylor_compose_norm_sq, which takes no kind and words its check the same way.
 DOMAIN_ENTRIES = {
+    "taylor_compose_norm_sq": (POWER, lambda n, k: taylor_compose_norm_sq(n, k, power_coeffs(POWER.s))),
     "gamma_closed": (POWER, lambda n, k: gamma_closed(n, POWER.s, k)),
     "ell_closed": (LOG, ell_closed),
     "gamma_recursive": (POWER, lambda n, k: gamma_recursive(n, POWER.s, k)),

@@ -11,8 +11,8 @@ import pytest
 import radnorm
 from radnorm.constants import (
     _even_product,
-    _even_table_deep,
     _evens,
+    _log_terms,
     _power_terms,
     _recursive_kernel,
     ell2_special,
@@ -27,6 +27,7 @@ from radnorm.constants import (
 )
 from reference import (
     reference_ell2_special,
+    reference_even_table,
     reference_gamma_even,
     reference_gamma_even_deep,
     reference_gamma_special,
@@ -68,9 +69,8 @@ def test_phi_deriv_at_zero_matches_the_binomial_form():
 def test_deep_even_table_matches_the_product_form_and_the_fraction_recursion():
     memo = {}
     for n in range(1, 9):
-        row = _even_table_deep(n, 20)
-        assert row == _evens(n, 41, deep=True) == [_even_product(n, m) for m in range(21)]
-        assert row == [reference_gamma_even_deep(n, m, memo) for m in range(21)]
+        row = [reference_gamma_even_deep(n, m, memo) for m in range(21)]
+        assert row == _evens(n, 41) == [_even_product(n, m) for m in range(21)]
 
 
 @pytest.mark.parametrize("k", [0, 1, 7, 40, 160])
@@ -94,9 +94,11 @@ def test_deep_recursion_matches_the_fraction_outer_sum():
     for n in range(2, 7):
         for k in (1, 6, 13):
             s = Fraction(5, 7)
+            evens = reference_even_table(n - 1, k, memo)
             expected = reference_recursive_norm_sq(n, k, power_coeffs(s), deep)
-            assert gamma_recursive(n, s, k, deep=True) == expected
-            assert ell_recursive(n, k, deep=True) == reference_recursive_norm_sq(n, k, log_coeffs(), deep)
+            assert _recursive_kernel(n, k, *_power_terms(s, k), evens) == expected
+            assert _recursive_kernel(n, k, *_log_terms(k), evens) == \
+                reference_recursive_norm_sq(n, k, log_coeffs(), deep)
 
 
 def test_recursive_kernel_rejects_a_non_integer_even_constant():
@@ -131,15 +133,15 @@ def test_no_function_in_src_has_an_unbounded_cache():
     assert list(_unbounded_caches(ast.parse(source))) == ["f", "g"]
 
 
-def test_repeated_deep_calls_leave_every_cache_unchanged():
+def test_repeated_recursive_calls_leave_every_cache_unchanged():
     names = [f"radnorm.{path.stem}" for path in SRC.glob("*.py") if not path.stem.startswith("__")]
     modules = [radnorm, *map(importlib.import_module, names)]
     caches = {(m.__name__, name): obj for m in modules
               for name, obj in vars(m).items() if hasattr(obj, "cache_info")}
-    gamma_recursive(5, Fraction(1, 3), 12, deep=True)
-    ell_recursive(5, 12, deep=True)
+    gamma_recursive(5, Fraction(1, 3), 12)
+    ell_recursive(5, 12)
     before = {key: cache.cache_info().currsize for key, cache in caches.items()}
     for i in range(20):
-        gamma_recursive(5, Fraction(2 * i + 1, 13), 12, deep=True)
-        ell_recursive(5 + i % 3, 12, deep=True)
+        gamma_recursive(5, Fraction(2 * i + 1, 13), 12)
+        ell_recursive(5 + i % 3, 12)
     assert {key: cache.cache_info().currsize for key, cache in caches.items()} == before

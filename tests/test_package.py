@@ -8,6 +8,8 @@ import radnorm
 from radnorm import constants, exactnum, symdiff
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+SRC = Path(radnorm.__file__).resolve().parent
+MAX_SETTABLE_VALUES = 22
 
 EXPORTS = {
     "__version__",
@@ -68,3 +70,25 @@ def test_the_readme_quick_tour_gives_each_commented_value():
             assert eval(side, namespace) == value, (code, side)
         checked += 1
     assert checked >= 5
+
+
+def _settable_values(tree):
+    # Each parameter with a default, as "function.parameter".
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            with_default = positional[len(positional) - len(args.defaults):]
+            with_default += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            yield from (f"{getattr(node, 'name', 'lambda')}.{a.arg}" for a in with_default)
+
+
+def test_no_settable_value_is_added_unnoticed():
+    # Each value a caller can set is one more configuration to test; raising the
+    # ceiling is a deliberate change.
+    found = [f"{path.stem}.{name}" for path in sorted(SRC.glob("*.py"))
+             for name in _settable_values(ast.parse(path.read_text(encoding="utf-8")))]
+    assert len(found) <= MAX_SETTABLE_VALUES, found
+    # the scan sees positional, keyword-only and lambda defaults, and nothing else
+    source = "def f(a, b=1, /, c=2, *d, e, g=3, **h): pass\nlambda x, y=0: x\n"
+    assert list(_settable_values(ast.parse(source))) == ["f.b", "f.c", "f.g", "lambda.y"]

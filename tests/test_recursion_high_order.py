@@ -1,8 +1,9 @@
-"""The dimension recursion at high order against values that share no code
-with either kernel: product forms, falling products and the polynomial
-degree in n.  Each check fails if the recursion's inner sums go wrong at
-that order.  Two guards pin the recursion's arithmetic: E(n, l) as a running
-product, and one binomial per inner-sum term."""
+"""Both formula routes at high order against values that share no code with
+either kernel: product forms, falling products and the polynomial degree in
+n.  Each check runs the dimension recursion and the closed form, and fails if
+that route's inner sums go wrong at that order.  Two guards pin the
+recursion's arithmetic: E(n, l) as a running product, and one binomial per
+inner-sum term."""
 
 from fractions import Fraction
 from math import factorial
@@ -17,40 +18,48 @@ from radnorm.constants import (
     _power_terms,
     _recursive_kernel,
     ell2_special,
+    ell_closed,
     ell_recursive,
+    gamma_closed,
     gamma_even,
     gamma_recursive,
     gamma_special,
 )
 
 S = Fraction(-5, 3)
+ROUTES = {"recursive": (gamma_recursive, ell_recursive), "closed": (gamma_closed, ell_closed)}
+each_route = pytest.mark.parametrize("gamma, ell", ROUTES.values(), ids=ROUTES)
 
 
+@each_route
 @pytest.mark.parametrize("k", [200, 399, 400])
 @pytest.mark.parametrize("n", [3, 8])
-def test_recursion_meets_the_fundamental_solution_product(n, k):
-    assert gamma_recursive(n, 2 - n, k) == gamma_special(n, k)
+def test_recursion_meets_the_fundamental_solution_product(n, k, gamma, ell):
+    assert gamma(n, 2 - n, k) == gamma_special(n, k)
 
 
+@each_route
 @pytest.mark.parametrize("m", [0, 1, 2, 3, 17, 50, 101, 199, 200])
-def test_recursion_meets_the_even_product_on_the_diagonal(m):
+def test_recursion_meets_the_even_product_on_the_diagonal(m, gamma, ell):
     for n in (2, 5):
-        assert gamma_recursive(n, 2 * m, 2 * m) == gamma_even(n, m)
+        assert gamma(n, 2 * m, 2 * m) == gamma_even(n, m)
 
 
-def test_one_dimensional_recursion_is_the_squared_falling_product():
+@each_route
+def test_one_dimensional_recursion_is_the_squared_falling_product(gamma, ell):
     for s in (S, Fraction(7, 2)):
         falling = Fraction(1)
         for k in range(401):
             if k % 9 == 0 or k >= 398:
-                assert gamma_recursive(1, s, k) == falling ** 2, k
+                assert gamma(1, s, k) == falling ** 2, k
             falling *= s - k
 
 
+@each_route
 @pytest.mark.parametrize("k", [1, 2, 3, 10, 41, 160, 399, 400])
-def test_log_recursion_meets_the_product_forms(k):
-    assert ell_recursive(1, k) == factorial(k - 1) ** 2
-    assert ell_recursive(2, k) == ell2_special(k)
+def test_log_recursion_meets_the_product_forms(k, gamma, ell):
+    assert ell(1, k) == factorial(k - 1) ** 2
+    assert ell(2, k) == ell2_special(k)
 
 
 def _differences(values, order):
@@ -59,13 +68,14 @@ def _differences(values, order):
     return values
 
 
+@each_route
 @pytest.mark.parametrize("k", [40, 80])
-def test_the_constant_is_a_polynomial_of_degree_half_k_in_the_dimension(k):
+def test_the_constant_is_a_polynomial_of_degree_half_k_in_the_dimension(k, gamma, ell):
     half = k // 2
-    values = [gamma_recursive(n, S, k) for n in range(1, half + 3)]
+    values = [gamma(n, S, k) for n in range(1, half + 3)]
     assert _differences(values, half + 1) == [0]
     assert _differences(values, half)[0] != 0
-    logs = [ell_recursive(n, k) for n in range(1, half + 3)]
+    logs = [ell(n, k) for n in range(1, half + 3)]
     assert _differences(logs, half + 1) == [0]
 
 
