@@ -34,8 +34,8 @@ Rational = Fraction
 # 4,096 entries of orders up to 160 hold about 1.5 MB.
 POCHHAMMER_CACHE_SIZE = 4096
 
-# Wire format: optional sign on the numerator, "/q" omitted when q == 1.
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+# Wire format: optional sign on the numerator, "/q" omitted when q == 1; ASCII digits only.
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 
 def parse_rational(text: str) -> Rational:
@@ -45,7 +45,7 @@ def parse_rational(text: str) -> Rational:
     Decimals, whitespace and signs on the denominator are rejected with
     ValueError; non-reduced input is accepted and normalized.
     """
-    if not _RATIONAL_RE.match(text):
+    if not _RATIONAL_RE.fullmatch(text):
         raise ValueError(f"not a rational in p/q form: {text!r}")
     num, _, den = text.partition("/")
     try:

@@ -7,9 +7,13 @@ the package built them before it moved them to integers.  The product
 forms and the dimension recursion as Fraction and ``pochhammer`` expressions,
 the way they were written before the package moved them to integers.  The symbolic
 Laplacian and squared norm folded with repeated ``TermSum.__add__``; the
-package's one-pass sums are checked against them.
+package's one-pass sums are checked against them.  Function equality by
+clearing negative powers of r^2 and expanding every r^(2e) into
+(sum x_i^2)^e, the way the package decided it before it reduced by
+x_n^2 = r^2 - sum_{i<n} x_i^2.
 """
 
+from collections import defaultdict
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import lcm, prod
@@ -163,3 +167,41 @@ def reference_grad_norm_sq_symbolic(n, kind, k):
         square = u.multiply(u).scale(weight)
         total = square if total is None else total + square
     return total
+
+
+def _sum_sq_pow(n, e):
+    """(x_1^2 + ... + x_n^2)^e expanded: pairs (alpha, multinomial coefficient)."""
+    for cuts in combinations_with_replacement(range(e + 1), n - 1):
+        # Stars and bars: n - 1 cut points split e into the parts alpha.
+        alpha = tuple(hi - lo for lo, hi in zip((0,) + cuts, cuts + (e,)))
+        yield alpha, factorial(e) // prod(factorial(a) for a in alpha)
+
+
+def _radial_monomials(u, shift):
+    """u * r^(2*shift - radial_base) as a polynomial in x alone, substituting
+    r^2 = sum x_i^2; shift must clear every negative power of r^2."""
+    poly = defaultdict(Fraction)
+    for t in u.terms:
+        if t.radial_offset % 2:
+            raise ValueError("odd radial offset has no polynomial form")
+        for alpha, mult in _sum_sq_pow(u.n_vars, t.radial_offset // 2 + shift):
+            poly[tuple(b + 2 * a for b, a in zip(t.monomial, alpha))] += t.coeff * mult
+    return {beta: c for beta, c in poly.items() if c}
+
+
+def _min_half_offset(u):
+    return min((t.radial_offset // 2 for t in u.terms), default=0)
+
+
+def reference_functions_equal(a, b):
+    """Whether two TermSums are the same function on R^n minus the origin,
+    by expanding both into polynomials in x."""
+    if a.n_vars != b.n_vars:
+        raise ValueError("dimension mismatch")
+    delta = a.radial_base - b.radial_base
+    if delta.denominator != 1 or delta.numerator % 2:
+        return not _radial_monomials(a, -_min_half_offset(a)) and not _radial_monomials(
+            b, -_min_half_offset(b))
+    half = delta.numerator // 2
+    shift = max(0, -min(_min_half_offset(a) + half, _min_half_offset(b)))
+    return _radial_monomials(a, shift + half) == _radial_monomials(b, shift)

@@ -174,6 +174,10 @@ def test_table_request_validation():
         TableRequest("ell", (1, 2), (1, 2), [Fraction(1)])
     with pytest.raises(ValueError):
         TableRequest("gamma", (1, 2), (1, 2), [Fraction(1)], methods=["magic"])
+    with pytest.raises(ValueError, match="^unknown norm 'delta'$"):
+        TableRequest("delta", (1, 2), (1, 2), [Fraction(1)])
+    with pytest.raises(ValueError, match="^unknown format 'xml'$"):
+        TableRequest("gamma", (1, 2), (1, 2), [Fraction(1)], fmt="xml")
     request = TableRequest("gamma", (1, 2), (1, 2), [Fraction(1)], methods=["oracle", "closed"])
     assert request.methods == ["closed", "oracle"]
 

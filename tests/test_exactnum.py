@@ -134,7 +134,8 @@ def test_parse_then_format_is_the_reduced_form(p, q, sign):
     assert format_rational(value) == reduced
 
 
-@pytest.mark.parametrize("bad", ["1/0", "0/0", "1.5", "", "3/-4", "a", "1 /2", "1/2/3", "/3"])
+@pytest.mark.parametrize("bad", ["1/0", "0/0", "1.5", "", "3/-4", "a", "1 /2", "1/2/3", "/3",
+                                 "3\n", "1/2\n", "\u0663/\u0664", "\uff13"])
 def test_parse_rejects_malformed_input(bad):
     with pytest.raises(ValueError):
         parse_rational(bad)

@@ -10,6 +10,8 @@ from radnorm import constants, exactnum, symdiff
 README = Path(__file__).resolve().parent.parent / "README.md"
 SRC = Path(radnorm.__file__).resolve().parent
 MAX_SETTABLE_VALUES = 22
+MAX_SRC_LINES = 1_900
+MEMO_CACHES = {"pochhammer", "_fixed_sample_points"}
 
 EXPORTS = {
     "__version__",
@@ -92,3 +94,28 @@ def test_no_settable_value_is_added_unnoticed():
     # the scan sees positional, keyword-only and lambda defaults, and nothing else
     source = "def f(a, b=1, /, c=2, *d, e, g=3, **h): pass\nlambda x, y=0: x\n"
     assert list(_settable_values(ast.parse(source))) == ["f.b", "f.c", "f.g", "lambda.y"]
+
+
+def test_src_stays_under_its_line_ceiling():
+    lines = sum(len(path.read_text(encoding="utf-8").splitlines()) for path in SRC.glob("*.py"))
+    assert lines <= MAX_SRC_LINES, lines
+
+
+def _memo_caches(tree):
+    # Each function decorated with functools' lru_cache or cache, bounded or not.
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for deco in node.decorator_list:
+                target = deco.func if isinstance(deco, ast.Call) else deco
+                name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+                if name in ("lru_cache", "cache"):
+                    yield node.name
+
+
+def test_no_memo_cache_is_added_unnoticed():
+    # Each memo is state that outlives a call; adding one is a deliberate change.
+    found = {name for path in SRC.glob("*.py")
+             for name in _memo_caches(ast.parse(path.read_text(encoding="utf-8")))}
+    assert found == MEMO_CACHES
+    source = "@lru_cache(maxsize=8)\ndef f(): pass\n@functools.cache\ndef g(): pass\n@staticmethod\ndef h(): pass\n"
+    assert list(_memo_caches(ast.parse(source))) == ["f", "g"]

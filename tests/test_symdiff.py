@@ -2,16 +2,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radnorm.constants import (
     NormKind,
     ell_closed,
     gamma_closed,
     gamma_special,
+    half_identity_check,
+    phi_deriv_at_zero,
 )
 from radnorm.exactnum import rational_pow
 from radnorm.symdiff import (
-    EXPANSION_CACHE_SIZE,
     MAX_DIMENSION,
     MAX_ORDER,
     CapacityError,
@@ -28,13 +31,17 @@ from radnorm.symdiff import (
     laplacian,
     laplacian_recursion_check,
     random_rational,
+    rescaled_grad_norms,
     seed,
     seed_order,
     tilde_norm_sq,
     verify_constancy,
 )
-from radnorm.symdiff import _sum_sq_pow
-from reference import reference_grad_norm_sq_symbolic, reference_laplacian
+from reference import (
+    reference_functions_equal,
+    reference_grad_norm_sq_symbolic,
+    reference_laplacian,
+)
 
 LOG = NormKind.logarithm()
 
@@ -453,6 +460,10 @@ def test_functions_equal_handles_base_shifts():
     rhs = TermSum.single(2, 0, (0, 0), 0, 1)
     assert functions_equal(lhs, rhs)
     assert not functions_equal(lhs, rhs.scale(2))
+    # 1 vs r^(2e) at n = 4: unequal, however far apart the radial offsets are
+    one = TermSum.single(4, 0, (0,) * 4, 0, 1)
+    for e in (20, 40, 60):
+        assert not functions_equal(one, TermSum.single(4, 0, (0,) * 4, 2 * e, 1))
 
 
 def test_functions_equal_incompatible_bases():
@@ -462,6 +473,57 @@ def test_functions_equal_incompatible_bases():
     assert functions_equal(a.scale(0), b.scale(0))  # both zero
     with pytest.raises(ValueError):
         functions_equal(a, TermSum.single(2, Fraction(1, 2), (0, 0), 0, 1))
+
+
+# Terms c x^beta r^(base + j) with beta_i <= 4, even j in -6..4, c = p/q with |p|, q <= 3.
+_ENTRIES = {n: st.dictionaries(
+    st.tuples(st.tuples(*[st.integers(0, 4)] * n), st.sampled_from(range(-6, 5, 2))),
+    st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)), min_size=1, max_size=4)
+    for n in range(1, 5)}
+
+
+def _times_one(t, n):
+    # t * (sum x_i^2) r^-2: the same function, written with n terms
+    return {(t.monomial[:i] + (t.monomial[i] + 2,) + t.monomial[i + 1:], t.radial_offset - 2): t.coeff
+            for i in range(n)}
+
+
+@st.composite
+def _pairs(draw):
+    """(a, b, whether b is a by construction)."""
+    n = draw(st.integers(1, 4))
+    base = draw(st.builds(Fraction, st.integers(-8, 8), st.sampled_from([1, 2])))
+    a = TermSum.build(n, base, draw(_ENTRIES[n]))
+    shape = draw(st.sampled_from(["random", "rewrite", "shift", "odd shift"]))
+    if shape == "random":
+        return a, TermSum.build(n, base, draw(_ENTRIES[n])), False
+    if shape == "odd shift":
+        shift = draw(st.sampled_from([1, -1, Fraction(1, 2)]))
+        return a, TermSum.build(n, base + shift, draw(_ENTRIES[n])), False
+    if shape == "rewrite":
+        entries = []
+        for t in a.terms:
+            term = {(t.monomial, t.radial_offset): t.coeff}
+            entries += (_times_one(t, n) if draw(st.booleans()) else term).items()
+        b = TermSum.build(n, base, entries)
+    else:
+        h = draw(st.sampled_from([-1, 1]))
+        b = TermSum.build(n, base + 2 * h, {(t.monomial, t.radial_offset - 2 * h): t.coeff for t in a.terms})
+    if draw(st.booleans()):
+        return a, b, True
+    return a, b + TermSum.build(n, b.radial_base, draw(_ENTRIES[n])), False
+
+
+@settings(max_examples=200, deadline=None)
+@given(_pairs())
+def test_functions_equal_agrees_with_the_expansion_reference(pair):
+    a, b, same = pair
+    equal = functions_equal(a, b)
+    assert equal == reference_functions_equal(a, b)
+    assert equal or not same
+    assert is_zero_function(a) == reference_functions_equal(a, a.scale(0))
+    if a.radial_base == b.radial_base:
+        assert is_zero_function(a + b.scale(-1)) == equal
 
 
 def test_vanishing_derivatives_of_even_powers():
@@ -474,19 +536,6 @@ def test_vanishing_derivatives_of_even_powers():
                 assert derivative(n, kind, axes).is_zero()
 
 
-def test_functions_equal_keeps_the_expansion_cache_bounded():
-    n = 4
-    for e in (20, 40, 60):
-        a = TermSum.single(n, 0, (0,) * n, 0, 1)
-        b = TermSum.single(n, 0, (0,) * n, 2 * e, 1)
-        assert not functions_equal(a, b)
-        assert _sum_sq_pow.cache_info().currsize <= EXPANSION_CACHE_SIZE
-    assert _sum_sq_pow.cache_info().maxsize == EXPANSION_CACHE_SIZE
-    for e in range(2 * EXPANSION_CACHE_SIZE):
-        _sum_sq_pow(2, e)
-    assert _sum_sq_pow.cache_info().currsize == EXPANSION_CACHE_SIZE
-
-
 @pytest.mark.parametrize("kind", [NormKind.power(Fraction(1, 2)), NormKind.power(-1), LOG],
                          ids=str)
 def test_one_pass_sums_equal_the_repeated_add_fold(kind):
@@ -497,3 +546,32 @@ def test_one_pass_sums_equal_the_repeated_add_fold(kind):
             assert laplacian(norm_sq) == reference_laplacian(norm_sq)
             u = derivative(n, kind, (1,) * k)
             assert laplacian(u) == reference_laplacian(u)
+
+
+_P = pt(1, 2)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: half_identity_check(Fraction(1, 2), -1), "m must be >= 0"),
+    (lambda: phi_deriv_at_zero(-1, 0), "m and k must be >= 0"),
+    (lambda: TermSum.build(0, 0, {}), "n_vars must be >= 1"),
+    (lambda: TermSum.single(2, 0, (1, 0), 0, 1) + TermSum.single(3, 0, (1, 0, 0), 0, 1),
+     "cannot add sums with different dimension or radial base"),
+    (lambda: TermSum.single(2, 0, (1, 0), 0, 1) + TermSum.single(2, 1, (1, 0), 0, 1),
+     "cannot add sums with different dimension or radial base"),
+    (lambda: TermSum.single(2, 0, (1, 0), 0, 1).multiply(TermSum.single(1, 0, (1,), 0, 1)),
+     "dimension mismatch"),
+    (lambda: TermSum.single(3, 0, (1, 0, 0), 0, 1).evaluate_reduced(_P), "point dimension mismatch"),
+    (lambda: TermSum.single(2, 0, (1, 0), -1, 1).evaluate_reduced(_P),
+     "odd radial offset cannot be evaluated exactly"),
+    (lambda: rescaled_grad_norms(3, LOG, 2, [_P]), "point dimension mismatch"),
+    (lambda: default_sample_points(0), "dimension must be >= 1"),
+    (lambda: is_zero_function(TermSum.single(2, 0, (1, 0), -1, 1)), "odd radial offset has no polynomial form"),
+    (lambda: functions_equal(TermSum.single(2, 0, (1, 0), -1, 1), TermSum.single(2, 2, (0, 0), 0, 1)),
+     "odd radial offset has no polynomial form"),
+], ids=["half_identity_check", "phi_deriv_at_zero", "TermSum.build", "TermSum.add-dimension",
+        "TermSum.add-base", "TermSum.multiply", "evaluate_reduced-dimension", "evaluate_reduced-odd",
+        "rescaled_grad_norms", "default_sample_points", "is_zero_function-odd", "functions_equal-odd"])
+def test_validation_raises(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
