@@ -51,11 +51,13 @@ VARIANTS = ("power", "logarithm")  # NormKind.variant
 ORACLE_TABLE_MAX_K = 5  # above this, table rows skip the oracle unless forced
 
 # Capacity caps on command-line requests, checked before any work (exit 3);
-# the library functions take any size.  Measured on one 2-vCPU host:
-MAX_FORMULA_ORDER = 400  # table order: one closed or recursive cell at k = 400 takes ~0.16 s
-MAX_TABLE_CELLS = 10_000  # table rows x methods: 10,000 cells at k <= 50 take ~2.3 s
-MAX_IDENTITY_M = 100  # identities --max-m: each nu over m <= 100 takes ~23 ms (200: ~0.19 s)
-MAX_IDENTITY_TRIALS = 200  # identities --trials: ~4.6 s with --max-m at its cap
+# the library functions take any size.  Costs: wall time on a shared 2-vCPU Xeon,
+# Python 3.11.7, low-high of 2-3 runs of one in-process call or of one `radnorm`
+# process with stdout discarded.  The caps bound order and cells, not their product.
+MAX_FORMULA_ORDER = 400  # table order: at k = 400 a closed cell takes 0.07-0.12 s, a recursive 0.02-0.05 s
+MAX_TABLE_CELLS = 10_000  # table rows x methods: a 10,000-cell process at k <= 50 takes 0.9-1.4 s
+MAX_IDENTITY_M = 100  # identities --max-m: one nu over m <= 100 takes 10-20 ms (200: 0.09-0.2 s)
+MAX_IDENTITY_TRIALS = 200  # identities --trials: 2.6-3.7 s as a process with --max-m at its cap
 
 
 class _UsageError(ValueError):

@@ -16,7 +16,11 @@ only integer powers of r^2.  log r lies outside the class, so ``seed`` starts
 logarithm-kind sums at order 1 with the gradient components x_i * r^(-2).
 
 ``TermSum`` keeps such sums canonical, with Fraction coefficients, for the
-symbolic identities; ``functions_equal`` reduces both sides by
+symbolic identities.  Every operation that makes terms (``build``, ``+``,
+``scale``, ``multiply``, ``differentiate``, ``laplacian``, the symbolic norm
+and the reduction below) lists ((monomial, offset), coeff) parts and hands
+them to one merge, ``TermSum._merged``, which adds equal keys, drops zeros
+and sorts.  ``functions_equal`` reduces both sides by
 x_n^2 = r^2 - sum_{i<n} x_i^2 to a normal form that is unique.  The
 pointwise norms apply the same rule in integers (``_walk``): one depth-first
 walk differentiates each sorted axis multiset from its prefix, keys each
@@ -31,12 +35,12 @@ from __future__ import annotations
 
 import random
 import time
-from collections import Counter, defaultdict, namedtuple
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
 from math import comb, lcm, prod
-from operator import index, mul
+from operator import add, index, mul
 from typing import Iterable, Mapping, Sequence
 
 from .constants import FORMULAS, ConstantQuery, NormKind, gamma_special
@@ -103,29 +107,23 @@ class TermSum(namedtuple("TermSum", "n_vars radial_base terms")):
         """Merge, drop zero coefficients, and sort into canonical order."""
         if n_vars < 1:
             raise ValueError("n_vars must be >= 1")
-        merged: dict[tuple[tuple[int, ...], int], Fraction] = defaultdict(Fraction)
+        parts = []
         items = entries.items() if isinstance(entries, Mapping) else entries
         for (monomial, offset), coeff in items:
             monomial = tuple(map(index, monomial))
             if len(monomial) != n_vars or any(e < 0 for e in monomial):
                 raise ValueError(f"bad monomial {monomial} for n_vars={n_vars}")
-            merged[(monomial, index(offset))] += as_rational(coeff)
-        return cls._merged(n_vars, as_rational(radial_base), merged)
+            parts.append(((monomial, index(offset)), as_rational(coeff)))
+        return cls._merged(n_vars, as_rational(radial_base), parts)
 
     @classmethod
-    def _merged(cls, n_vars: int, radial_base: Rational, merged: Mapping) -> "TermSum":
-        """``build`` for internal callers: valid keys, Fraction coefficients."""
-        terms = tuple(Term(c, monomial, offset) for (monomial, offset), c in sorted(merged.items()) if c)
-        return cls(n_vars, radial_base, terms)
-
-    @classmethod
-    def _summed(cls, n_vars: int, radial_base: Rational, sums: Iterable["TermSum"]) -> "TermSum":
-        """The sum of ``sums`` (same n_vars and radial base), merged once."""
-        entries: dict[tuple[tuple[int, ...], int], Fraction] = defaultdict(Fraction)
-        for u in sums:
-            for t in u.terms:
-                entries[(t.monomial, t.radial_offset)] += t.coeff
-        return cls._merged(n_vars, radial_base, entries)
+    def _merged(cls, n_vars: int, radial_base: Rational, parts: Iterable) -> "TermSum":
+        """The canonical sum of ((monomial, offset), coeff) parts with valid
+        keys and Fraction coefficients: equal keys add, zeros drop, terms sort."""
+        merged: dict[tuple[tuple[int, ...], int], Fraction] = {}
+        for key, c in parts:
+            merged[key] = merged[key] + c if key in merged else c
+        return cls(n_vars, radial_base, tuple(Term(c, *key) for key, c in sorted(merged.items()) if c))
 
     @classmethod
     def single(cls, n_vars: int, radial_base, monomial: tuple[int, ...], offset: int, coeff) -> "TermSum":
@@ -137,45 +135,43 @@ class TermSum(namedtuple("TermSum", "n_vars radial_base terms")):
     def __add__(self, other: "TermSum") -> "TermSum":
         if self.n_vars != other.n_vars or self.radial_base != other.radial_base:
             raise ValueError("cannot add sums with different dimension or radial base")
-        return TermSum._summed(self.n_vars, self.radial_base, (self, other))
+        return TermSum._merged(self.n_vars, self.radial_base,
+                               (((m, j), c) for c, m, j in self.terms + other.terms))
 
     def scale(self, factor) -> "TermSum":
         factor = as_rational(factor)
-        entries = {(t.monomial, t.radial_offset): t.coeff * factor for t in self.terms}
-        return TermSum._merged(self.n_vars, self.radial_base, entries)
+        return TermSum._merged(self.n_vars, self.radial_base,
+                               (((m, j), c * factor) for c, m, j in self.terms))
 
     def multiply(self, other: "TermSum") -> "TermSum":
         """Product of two sums; the radial bases add."""
         if self.n_vars != other.n_vars:
             raise ValueError("dimension mismatch")
-        entries: dict[tuple[tuple[int, ...], int], Fraction] = defaultdict(Fraction)
-        for a in self.terms:
-            for b in other.terms:
-                monomial = tuple(x + y for x, y in zip(a.monomial, b.monomial))
-                entries[(monomial, a.radial_offset + b.radial_offset)] += a.coeff * b.coeff
-        return TermSum._merged(self.n_vars, self.radial_base + other.radial_base, entries)
+        return TermSum._merged(self.n_vars, self.radial_base + other.radial_base, (
+            ((tuple(map(add, ma, mb)), ja + jb), ca * cb)
+            for ca, ma, ja in self.terms for cb, mb, jb in other.terms
+        ))
 
     def differentiate(self, axis: int) -> "TermSum":
         """Exact partial derivative along 1-based axis; stays in the class."""
         if not 1 <= axis <= self.n_vars:
             raise ValueError(f"axis {axis} out of range 1..{self.n_vars}")
         a = axis - 1
-        entries: dict[tuple[tuple[int, ...], int], Fraction] = defaultdict(Fraction)
-        for t in self.terms:
-            e = t.monomial[a]
+        parts = []
+        for c, monomial, j in self.terms:
+            e = monomial[a]
             if e:
-                down = t.monomial[:a] + (e - 1,) + t.monomial[a + 1:]
-                entries[(down, t.radial_offset)] += t.coeff * e
-            exponent = self.radial_base + t.radial_offset
+                parts.append(((monomial[:a] + (e - 1,) + monomial[a + 1:], j), c * e))
+            exponent = self.radial_base + j
             if exponent:
-                up = t.monomial[:a] + (e + 1,) + t.monomial[a + 1:]
-                entries[(up, t.radial_offset - 2)] += t.coeff * exponent
-        return TermSum._merged(self.n_vars, self.radial_base, entries)
+                parts.append(((monomial[:a] + (e + 1,) + monomial[a + 1:], j - 2), c * exponent))
+        return TermSum._merged(self.n_vars, self.radial_base, parts)
 
     def laplacian(self) -> "TermSum":
         """Sum of the n second partials."""
-        return TermSum._summed(self.n_vars, self.radial_base, (
-            self.differentiate(axis).differentiate(axis) for axis in range(1, self.n_vars + 1)
+        return TermSum._merged(self.n_vars, self.radial_base, (
+            ((m, j), c) for axis in range(1, self.n_vars + 1)
+            for c, m, j in self.differentiate(axis).differentiate(axis).terms
         ))
 
     def evaluate_reduced(self, point: "SamplePoint") -> Rational:
@@ -289,7 +285,7 @@ def derivative(n: int, kind: NormKind, axes: Sequence[int]) -> TermSum:
     ``axes`` is the full tuple of 1-based differentiation indices; for the
     logarithm kind it must be nonempty.
     """
-    axes = tuple(int(a) for a in axes)
+    axes = tuple(map(index, axes))
     if any(not 1 <= a <= n for a in axes):
         raise ValueError(f"axes {axes} out of range 1..{n}")
     if not kind.is_power and not axes:
@@ -525,11 +521,11 @@ def grad_norm_sq_symbolic(n: int, kind: NormKind, k: int) -> TermSum:
     base of the result is 2s (power) or 0 (logarithm).
     """
     _validate_norm_args(n, kind, k, ())
-    squares = []
+    parts = []
     for combo, weight in _multiset_weights(n, k).items():
         u = derivative(n, kind, combo)
-        squares.append(u.multiply(u).scale(weight))
-    return TermSum._summed(n, squares[0].radial_base, squares)
+        parts += (((m, j), c * weight) for c, m, j in u.multiply(u).terms)
+    return TermSum._merged(n, 2 * kind.s if kind.is_power else Fraction(0), parts)
 
 
 def _proportional(p: SamplePoint, q: SamplePoint) -> bool:
@@ -664,44 +660,43 @@ def laplacian_recursion_check(n: int, k: int) -> bool:
     return functions_equal(lhs, expected)
 
 
-def _reduced(u: TermSum, shift: int) -> dict[tuple[tuple[int, ...], int], Fraction]:
-    """u * r^(2*shift - radial_base) as {(beta, j): c} for sum c x^beta r^(2j),
-    with beta_n <= 1 and j any integer.
+def _reduced(u: TermSum, shift: int) -> TermSum:
+    """u * r^(2*shift - radial_base) over radial base 0, with beta_n <= 1 in
+    every term.
 
     Each round rewrites every x_n^e with e >= 2 as x_n^(e-2) (r^2 - sum_{i<n}
     x_i^2) and merges like terms.  The form is unique: Q[x] is free over
     Q[x_1..x_(n-1), |x|^2] with basis {1, x_n}, so two sums that agree on R^n
-    minus the origin (times a common r^(2m) clearing j < 0) have the same form.
+    minus the origin (times a common r^(2m) clearing negative offsets) have
+    the same form.
 
-    Rounds reduce along x_n only.  On one shared Xeon core (Python 3.11), at
-    n = 4, 1 vs r^120 takes 0.04 ms where the (sum x_i^2)^60 expansion took
-    560 ms, but x_4^(2m) vs x_1^(2m) takes 13, 98 and 2,040 ms at m = 10, 20
+    Rounds reduce along x_n only, and each round merges the finished terms
+    again with the rewritten ones.  On one shared Xeon core (Python 3.11.7,
+    one ``functions_equal`` call each, two runs), at n = 4, 1 vs r^120 takes
+    0.06-0.07 ms where the (sum x_i^2)^60 expansion took 560 ms, but
+    x_4^(2m) vs x_1^(2m) takes 8-19, 125-257 and 2,650-3,940 ms at m = 10, 20
     and 40 where the expansion took 0.1 ms.  No caller builds either.
     """
-    last = u.n_vars - 1
-    pending: dict[tuple[tuple[int, ...], int], Fraction] = {}
-    for t in u.terms:
-        if t.radial_offset % 2:
-            raise ValueError("odd radial offset has no polynomial form")
-        pending[(t.monomial, t.radial_offset // 2 + shift)] = t.coeff
-    done = defaultdict(Fraction)
-    while pending:
-        rewritten = defaultdict(Fraction)
-        for (beta, j), c in pending.items():
+    if any(j % 2 for _, _, j in u.terms):
+        raise ValueError("odd radial offset has no polynomial form")
+    n, last = u.n_vars, u.n_vars - 1
+    u = TermSum._merged(n, Fraction(0), (((beta, j + 2 * shift), c) for c, beta, j in u.terms))
+    while any(beta[last] > 1 for _, beta, _ in u.terms):
+        parts = []
+        for c, beta, j in u.terms:
             if beta[last] < 2:
-                done[(beta, j)] += c
+                parts.append(((beta, j), c))
                 continue
             down = beta[:last] + (beta[last] - 2,)
-            rewritten[(down, j + 1)] += c
-            for i in range(last):
-                rewritten[(down[:i] + (down[i] + 2,) + down[i + 1:], j)] -= c
-        pending = {key: c for key, c in rewritten.items() if c}
-    return {key: c for key, c in done.items() if c}
+            parts.append(((down, j + 2), c))
+            parts += (((down[:i] + (down[i] + 2,) + down[i + 1:], j), -c) for i in range(last))
+        u = TermSum._merged(n, Fraction(0), parts)
+    return u
 
 
 def is_zero_function(u: TermSum) -> bool:
     """Whether u vanishes identically on R^n minus the origin."""
-    return not _reduced(u, 0)
+    return _reduced(u, 0).is_zero()
 
 
 def functions_equal(a: TermSum, b: TermSum) -> bool:

@@ -7,19 +7,23 @@ the package built them before it moved them to integers.  The product
 forms and the dimension recursion as Fraction and ``pochhammer`` expressions,
 the way they were written before the package moved them to integers.  The symbolic
 Laplacian and squared norm folded with repeated ``TermSum.__add__``; the
-package's one-pass sums are checked against them.  Function equality by
+package's one-pass sums are checked against them.  The ``TermSum``
+operations with a ``Fraction`` accumulator of their own each, the way the
+package wrote them before every operation went through one merge.  Function equality by
 clearing negative powers of r^2 and expanding every r^(2e) into
 (sum x_i^2)^e, the way the package decided it before it reduced by
 x_n^2 = r^2 - sum_{i<n} x_i^2.
 """
 
 from collections import defaultdict
+from collections.abc import Mapping
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import lcm, prod
+from operator import index
 
-from radnorm.exactnum import binomial, factorial, pochhammer
-from radnorm.symdiff import TermSum, derivative
+from radnorm.exactnum import as_rational, binomial, factorial, pochhammer
+from radnorm.symdiff import Term, TermSum, derivative
 
 
 def reference_norm_sq(n, k, coeff):
@@ -167,6 +171,88 @@ def reference_grad_norm_sq_symbolic(n, kind, k):
         square = u.multiply(u).scale(weight)
         total = square if total is None else total + square
     return total
+
+
+def _canonical(n_vars, radial_base, merged):
+    """A TermSum from a merged {(monomial, offset): coeff} mapping: zeros
+    dropped, terms sorted."""
+    terms = tuple(Term(c, monomial, offset) for (monomial, offset), c in sorted(merged.items()) if c)
+    return TermSum(n_vars, radial_base, terms)
+
+
+def reference_build(n_vars, radial_base, entries):
+    """``TermSum.build``: validate each entry and accumulate it at once."""
+    if n_vars < 1:
+        raise ValueError("n_vars must be >= 1")
+    merged = defaultdict(Fraction)
+    items = entries.items() if isinstance(entries, Mapping) else entries
+    for (monomial, offset), coeff in items:
+        monomial = tuple(map(index, monomial))
+        if len(monomial) != n_vars or any(e < 0 for e in monomial):
+            raise ValueError(f"bad monomial {monomial} for n_vars={n_vars}")
+        merged[(monomial, index(offset))] += as_rational(coeff)
+    return _canonical(n_vars, as_rational(radial_base), merged)
+
+
+def _summed(n_vars, radial_base, sums):
+    merged = defaultdict(Fraction)
+    for u in sums:
+        for t in u.terms:
+            merged[(t.monomial, t.radial_offset)] += t.coeff
+    return _canonical(n_vars, radial_base, merged)
+
+
+def reference_add(a, b):
+    """``a + b``."""
+    if a.n_vars != b.n_vars or a.radial_base != b.radial_base:
+        raise ValueError("cannot add sums with different dimension or radial base")
+    return _summed(a.n_vars, a.radial_base, (a, b))
+
+
+def reference_scale(u, factor):
+    """``u.scale(factor)``."""
+    factor = as_rational(factor)
+    merged = {(t.monomial, t.radial_offset): t.coeff * factor for t in u.terms}
+    return _canonical(u.n_vars, u.radial_base, merged)
+
+
+def reference_multiply(a, b):
+    """``a.multiply(b)``: every pair of terms, the radial bases added."""
+    if a.n_vars != b.n_vars:
+        raise ValueError("dimension mismatch")
+    merged = defaultdict(Fraction)
+    for s in a.terms:
+        for t in b.terms:
+            monomial = tuple(x + y for x, y in zip(s.monomial, t.monomial))
+            merged[(monomial, s.radial_offset + t.radial_offset)] += s.coeff * t.coeff
+    return _canonical(a.n_vars, a.radial_base + b.radial_base, merged)
+
+
+def reference_differentiate(u, axis):
+    """``u.differentiate(axis)`` by the rule
+    d/dx_i [x^beta r^t] = beta_i x^(beta - e_i) r^t + t x^(beta + e_i) r^(t-2)."""
+    if not 1 <= axis <= u.n_vars:
+        raise ValueError(f"axis {axis} out of range 1..{u.n_vars}")
+    a = axis - 1
+    merged = defaultdict(Fraction)
+    for t in u.terms:
+        e = t.monomial[a]
+        if e:
+            down = t.monomial[:a] + (e - 1,) + t.monomial[a + 1:]
+            merged[(down, t.radial_offset)] += t.coeff * e
+        exponent = u.radial_base + t.radial_offset
+        if exponent:
+            up = t.monomial[:a] + (e + 1,) + t.monomial[a + 1:]
+            merged[(up, t.radial_offset - 2)] += t.coeff * exponent
+    return _canonical(u.n_vars, u.radial_base, merged)
+
+
+def reference_merged_laplacian(u):
+    """``u.laplacian()``: the terms of the n second partials merged once."""
+    return _summed(u.n_vars, u.radial_base, (
+        reference_differentiate(reference_differentiate(u, axis), axis)
+        for axis in range(1, u.n_vars + 1)
+    ))
 
 
 def _sum_sq_pow(n, e):

@@ -38,9 +38,15 @@ from radnorm.symdiff import (
     verify_constancy,
 )
 from reference import (
+    reference_add,
+    reference_build,
+    reference_differentiate,
     reference_functions_equal,
     reference_grad_norm_sq_symbolic,
     reference_laplacian,
+    reference_merged_laplacian,
+    reference_multiply,
+    reference_scale,
 )
 
 LOG = NormKind.logarithm()
@@ -161,6 +167,19 @@ def test_homogeneity_ledger():
             for t in u.terms:
                 assert sum(t.monomial) + t.radial_offset == -k
                 assert t.radial_offset % 2 == 0
+
+
+@pytest.mark.parametrize("axes", [(1.7,), ("2",), (1, 2.0)], ids=repr)
+def test_derivative_rejects_inexact_axes(axes):
+    # int() would take 1.7 as axis 1 and "2" as axis 2.
+    with pytest.raises(TypeError):
+        derivative(2, NormKind.power(3), axes)
+
+
+def test_derivative_takes_integer_axes():
+    kind = NormKind.power(3)
+    assert derivative(2, kind, (2,)) == TermSum.single(2, 3, (0, 1), -2, 3)
+    assert derivative(2, kind, [2, 1]) == derivative(2, kind, (1, 2)) == TermSum.single(2, 3, (1, 1), -4, 3)
 
 
 def test_derivative_validates_axes():
@@ -546,6 +565,48 @@ def test_one_pass_sums_equal_the_repeated_add_fold(kind):
             assert laplacian(norm_sq) == reference_laplacian(norm_sq)
             u = derivative(n, kind, (1,) * k)
             assert laplacian(u) == reference_laplacian(u)
+
+
+# Possibly repeated, zero or cancelling parts c x^beta r^(base + j) with
+# beta_i <= 3, even j in -6..4 and c = p/q with |p|, q <= 3.
+_PARTS = {n: st.lists(st.tuples(
+    st.tuples(st.tuples(*[st.integers(0, 3)] * n), st.sampled_from(range(-6, 5, 2))),
+    st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))), max_size=6)
+    for n in range(1, 5)}
+
+
+@st.composite
+def _operands(draw):
+    """(n, base, parts of a, parts of b, base of c, parts of c, factor, axis)."""
+    n = draw(st.integers(1, 4))
+    bases = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3]))
+    base, c_base = draw(bases), draw(bases)
+    a, b, c = (draw(_PARTS[n]) for _ in range(3))
+    if draw(st.booleans()):
+        b = b + [(key, -coeff) for key, coeff in a]  # a + b cancels a's parts
+    factor = draw(st.sampled_from([0, 1, -1, Fraction(-2, 3), 5]))
+    return n, base, a, b, c_base, c, factor, draw(st.integers(1, n))
+
+
+def _assert_identical(u, v):
+    assert u == v
+    assert type(u.radial_base) is Fraction
+    assert all(type(t.coeff) is Fraction and t.coeff for t in u.terms)
+    assert all(type(e) is int for t in u.terms for e in (*t.monomial, t.radial_offset))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_operands())
+def test_merged_operations_equal_the_accumulating_reference(operands):
+    n, base, a_parts, b_parts, c_base, c_parts, factor, axis = operands
+    a, b, c = (TermSum.build(n, r, parts) for r, parts in ((base, a_parts), (base, b_parts), (c_base, c_parts)))
+    _assert_identical(a, reference_build(n, base, a_parts))
+    _assert_identical(TermSum.build(n, base, dict(a_parts)), reference_build(n, base, dict(a_parts)))
+    _assert_identical(a + b, reference_add(a, b))
+    _assert_identical(a.scale(factor), reference_scale(a, factor))
+    _assert_identical(a.multiply(c), reference_multiply(a, c))
+    _assert_identical(a.differentiate(axis), reference_differentiate(a, axis))
+    _assert_identical(a.laplacian(), reference_merged_laplacian(a))
 
 
 _P = pt(1, 2)
