@@ -12,6 +12,7 @@ import io
 import json
 import os
 import random
+import re
 import sys
 from collections import namedtuple
 from decimal import Decimal, localcontext
@@ -100,11 +101,12 @@ class TableRequest:
         if not methods:
             raise _UsageError("at least one method is required")
         self.norm, self.n_range, self.k_range, self.s_values = norm, n_range, k_range, s_values
+        self.kinds = [NormKind.power(s) for s in s_values] if norm == "gamma" else [NormKind.logarithm()]
         self.methods = [m for m in METHODS if m in methods]
         self.fmt, self.seed, self.decimal, self.force_oracle = fmt, seed, decimal, force_oracle
         if k_range[1] > MAX_FORMULA_ORDER:
             raise CapacityError(f"order k={k_range[1]} exceeds the table cap of {MAX_FORMULA_ORDER}")
-        cells = len(self.methods) * len(s_values or [None])
+        cells = len(self.methods) * len(self.kinds)
         cells *= (n_range[1] - n_range[0] + 1) * (k_range[1] - k_range[0] + 1)
         if cells > MAX_TABLE_CELLS:
             raise CapacityError(f"{cells} table cells exceed the cap of {MAX_TABLE_CELLS}")
@@ -153,8 +155,7 @@ def _oracle_constant(n: int, kind: NormKind, k: int, seed: int) -> Fraction:
     return values[0]
 
 
-def _table_cell(request: TableRequest, method: str, n: int, k: int, s: Fraction | None):
-    kind = NormKind.power(s) if request.norm == "gamma" else NormKind.logarithm()
+def _table_cell(request: TableRequest, method: str, n: int, k: int, kind: NormKind):
     if method in FORMULAS:
         return FORMULAS[method](n, kind, k)
     if not request._oracle_runs_at(k):
@@ -168,9 +169,9 @@ def cmd_table(request: TableRequest, out: TextIO | None = None) -> int:
     rows = []  # cell texts, "" where a cell is blank
     for n in range(request.n_range[0], request.n_range[1] + 1):
         for k in range(request.k_range[0], request.k_range[1] + 1):
-            for s in request.s_values or [None]:
-                values = [_table_cell(request, m, n, k, s) for m in request.methods]
-                texts = ["" if v is None else format_rational(v) for v in [s, *values]]
+            for kind in request.kinds:
+                values = [_table_cell(request, m, n, k, kind) for m in request.methods]
+                texts = ["" if v is None else format_rational(v) for v in [kind.s, *values]]
                 if request.decimal:
                     first = next((v for v in values if v is not None), None)
                     texts.append("" if first is None else _decimal_str(first))
@@ -378,11 +379,24 @@ def cmd_identities(max_m: int, max_n: int, max_k: int, trials: int, seed: int, f
     return EXIT_OK if result == "PASS" else EXIT_MISMATCH
 
 
+_INT_RE = re.compile(r"[+-]?[0-9]+")  # int() alone also takes non-ASCII digits, "_" and blanks
+
+
+def _int(text: str) -> int:
+    # Every integer option: ASCII digits, as --s is read, and argparse's wording for type=int.
+    try:
+        if _INT_RE.fullmatch(text):
+            return int(text)
+    except ValueError:  # past int()'s digit limit
+        pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 def _parse_span(text: str) -> tuple[int, int]:
     lo, dots, hi = text.partition("..")
     try:
-        return int(lo), int(hi if dots else lo)
-    except ValueError:
+        return _int(lo), _int(hi if dots else lo)
+    except argparse.ArgumentTypeError:
         raise _UsageError(f"not a range: {text!r}") from None
 
 
@@ -446,7 +460,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--format", type=_one_of(FORMATS), choices=FORMATS, default="plain")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_int, default=0)
         p.add_argument("--out", default=None, help="output path (default: stdout)")
 
     t = sub.add_parser("table", help="tabulate constants over an (N, k[, s]) grid")
@@ -462,20 +476,20 @@ def _build_parser() -> argparse.ArgumentParser:
     t.set_defaults(run=_run_table)
 
     v = sub.add_parser("verify", help="cross-check closed, recursive and oracle values")
-    v.add_argument("--N", dest="n", type=int, required=True)
+    v.add_argument("--N", dest="n", type=_int, required=True)
     v.add_argument("--kind", type=_one_of(VARIANTS), choices=VARIANTS, required=True)
     v.add_argument("--s", default=None, help="exponent (power kind only)")
-    v.add_argument("--k", type=int, required=True)
+    v.add_argument("--k", type=_int, required=True)
     v.add_argument("--points", default=None, help="semicolon-separated rational vectors")
     v.add_argument("--timing", action="store_true", help="include total and per-stage times in the report")
     common(v)
     v.set_defaults(run=_run_verify)
 
     i = sub.add_parser("identities", help="run the combinatorial identity suite")
-    i.add_argument("--max-m", type=int, default=10)
-    i.add_argument("--max-N", dest="max_n", type=int, default=3)
-    i.add_argument("--max-k", type=int, default=4)
-    i.add_argument("--trials", type=int, default=20)
+    i.add_argument("--max-m", type=_int, default=10)
+    i.add_argument("--max-N", dest="max_n", type=_int, default=3)
+    i.add_argument("--max-k", type=_int, default=4)
+    i.add_argument("--trials", type=_int, default=20)
     common(i)
     i.set_defaults(run=_run_identity_suite)
     return parser

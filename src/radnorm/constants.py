@@ -14,12 +14,12 @@ This module computes those constants exactly, three independent ways:
 The standalone combinatorial facts the derivations rest on are exposed too
 (``half_identity_check``, ``phi_deriv_at_zero``).
 
-The profile coefficients of both families are integer numerators over
-their least common denominator, built without ``Fraction`` arithmetic; only
-``taylor_compose_norm_sq``'s arbitrary coefficient callables go through
-``Fraction`` values (``_profile_terms``).  Both formula routes accumulate in
-``int`` over that denominator and build one ``Fraction`` at the end; the
-product forms are integer products.  This module keeps no memo cache.
+One builder, ``_terms``, gives both families' profile coefficients as ints
+over their least common denominator: log|x| is |x|^s / s at s = 0, and
+``NormKind.radial_base`` is s, or 0 for log|x|.  Only the coefficient callables
+of ``taylor_compose_norm_sq`` go through ``Fraction`` (``_profile_terms``).
+Both formula routes accumulate in ``int`` and build one ``Fraction`` at the
+end; the product forms are integer products.  This module keeps no memo cache.
 """
 
 from __future__ import annotations
@@ -56,6 +56,8 @@ __all__ = [
     "FORMULAS",
 ]
 
+_ZERO = Fraction(0)  # log|x|'s radial base, built once
+
 
 class NormKind(namedtuple("NormKind", "variant s", defaults=(None,))):
     """Which function family is queried: |x|^s (power) or log|x|."""
@@ -86,6 +88,11 @@ class NormKind(namedtuple("NormKind", "variant s", defaults=(None,))):
     def is_power(self) -> bool:
         return self.variant == "power"
 
+    @property
+    def radial_base(self) -> Rational:
+        """The exponent of the common r^b factor of every derivative: s, or 0 for log|x|."""
+        return self.s if self.is_power else _ZERO
+
     def __str__(self) -> str:
         if self.is_power:
             return f"power(s={format_rational(self.s)})"
@@ -95,13 +102,17 @@ class NormKind(namedtuple("NormKind", "variant s", defaults=(None,))):
 class ConstantQuery(namedtuple("ConstantQuery", "dimension order kind")):
     """A (dimension, derivative order, kind) triple identifying one constant.
 
-    Building one is the domain check every constant shares: n >= 1, and
+    Building one is the domain check every constant shares: n and k are
+    integers (bools and inexact values raise TypeError), n >= 1, and
     k >= 0 for |x|^s or k >= 1 for log|x|.
     """
 
     __slots__ = ()
 
     def __new__(cls, dimension: int, order: int, kind: NormKind):
+        if isinstance(dimension, bool) or isinstance(order, bool):
+            raise TypeError("dimension and order must be integers, not bools")
+        dimension, order = index(dimension), index(order)
         if dimension < 1:
             raise ValueError("dimension must be >= 1")
         if order < 0:
@@ -148,27 +159,21 @@ def log_coeffs() -> Callable[[int], Rational]:
     return coeff
 
 
-def _power_terms(s: Rational, k: int) -> tuple[list[int], int]:
-    # C(s/2, p) = a(a-b)...(a-(p-1)b) / (b^p p!) with s/2 = a/b.  Over b^k k! the
-    # numerator is falling_p * b^(k-p) k!/p!: one forward product, one backward
-    # scale, and one gcd that leaves the least common denominator.  No cache keyed on s.
-    a, b = s.numerator, s.denominator
-    a, b = (a // 2, b) if a % 2 == 0 else (a, 2 * b)
+def _terms(kind: NormKind, k: int) -> tuple[list[int], int]:
+    # c_p = C(s/2, p) = prod_{u<p} (a - uw) / (w^p p!) with s = a/b, w = 2b; log|x| is
+    # |x|^s / s at s = 0: a = 0, b = 1 and the first factor a/s is 1.  Over w^k k! the
+    # numerator is prod_{u<p} (a - uw) w^(k-p) k!/p!: one forward product, one backward
+    # scale, and one gcd that leaves the least common denominator.
+    s = kind.radial_base
+    a, w = s.numerator, 2 * s.denominator
+    factors = [a if kind.is_power else 1, *range(a - w, a - k * w, -w)]  # a - uw, u = 0..k-1
     lo = _ceil_half(k)
-    fallings = accumulate(range(a - lo * b, a - k * b, -b), mul,
-                          initial=prod(range(a, a - lo * b, -b)))  # falling_p, p = lo..k
-    scales = [*accumulate(range(k * b, lo * b, -b), mul, initial=1)]  # p = k down to lo
+    fallings = accumulate(factors[lo:k], mul, initial=prod(factors[:lo]))  # p = lo..k
+    scales = [*accumulate(range(k * w, lo * w, -w), mul, initial=1)]  # p = k down to lo
     nums = list(map(mul, fallings, reversed(scales)))
-    den = b ** k * factorial(k)
+    den = w ** k * factorial(k)
     g = gcd(den, *nums)
     return [c // g for c in nums], den // g
-
-
-def _log_terms(k: int) -> tuple[list[int], int]:
-    # (-1)^(p-1) / (2p) over lcm(2p), ceil(k/2) <= p <= k.
-    lo = _ceil_half(k)
-    den = lcm(*range(2 * lo, 2 * k + 1, 2))
-    return [den // (2 * p) if p % 2 else -den // (2 * p) for p in range(lo, k + 1)], den
 
 
 def _profile_terms(coeffs: Callable[[int], Rational], k: int) -> tuple[list[int], int]:
@@ -228,18 +233,18 @@ def gamma_closed(n: int, s, k: int) -> Rational:
     with l in [0, floor(k/2)] and p in [ceil(k/2), k-l] in integers over a
     common denominator, as one Fraction at the end.
     """
-    s = ConstantQuery(n, k, NormKind.power(s)).kind.s
-    return _closed_kernel(n, k, *_power_terms(s, k))
+    n, k, kind = ConstantQuery(n, k, NormKind.power(s))
+    return _closed_kernel(n, k, *_terms(kind, k))
 
 
 def ell_closed(n: int, k: int) -> Rational:
     """Logarithm-family constant for dimension n, order k >= 1 (closed form).
 
-    Same double sum as ``gamma_closed`` with (-1)^(p-1) / (2p) in place of
-    C(s/2, p); strictly positive.
+    Same double sum as ``gamma_closed`` with (-1)^(p-1) / (2p), the s -> 0
+    limit of C(s/2, p) / s, in place of C(s/2, p); strictly positive.
     """
-    ConstantQuery(n, k, NormKind.logarithm())
-    return _closed_kernel(n, k, *_log_terms(k))
+    n, k, kind = ConstantQuery(n, k, NormKind.logarithm())
+    return _closed_kernel(n, k, *_terms(kind, k))
 
 
 def gamma_1d(s, k: int) -> Rational:
@@ -311,14 +316,14 @@ def gamma_recursive(n: int, s, k: int) -> Rational:
     The inner even-order constants come from the integer product form behind
     ``gamma_even``.
     """
-    s = ConstantQuery(n, k, NormKind.power(s)).kind.s
-    return _recursive_kernel(n, k, *_power_terms(s, k), _evens(n - 1, k))
+    n, k, kind = ConstantQuery(n, k, NormKind.power(s))
+    return _recursive_kernel(n, k, *_terms(kind, k), _evens(n - 1, k))
 
 
 def ell_recursive(n: int, k: int) -> Rational:
     """Logarithm constant by dimension recursion; agrees exactly with ell_closed."""
-    ConstantQuery(n, k, NormKind.logarithm())
-    return _recursive_kernel(n, k, *_log_terms(k), _evens(n - 1, k))
+    n, k, kind = ConstantQuery(n, k, NormKind.logarithm())
+    return _recursive_kernel(n, k, *_terms(kind, k), _evens(n - 1, k))
 
 
 def _half_identity_sides(nu: Rational, m: int) -> tuple[int, int]:

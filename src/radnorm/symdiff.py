@@ -4,10 +4,10 @@ Functions are finite sums of terms
 
     coeff * x^beta * r^(b + j),    r = |x|,
 
-where the rational base exponent ``b`` is shared by the whole sum (b = s for
-derivatives of |x|^s, b = 0 for derivatives of log|x|), ``beta`` is a vector
-of nonnegative integer exponents and ``j`` is an even integer offset.  The
-class is closed under partial differentiation:
+where the rational base exponent ``b`` is shared by the whole sum
+(``NormKind.radial_base``: s for |x|^s, 0 for log|x| = lim (|x|^s - 1) / s),
+``beta`` is a vector of nonnegative integer exponents and ``j`` is an even
+integer offset.  The class is closed under partial differentiation:
 
     d/dx_i [x^beta r^t] = beta_i x^(beta - e_i) r^t + t x^(beta + e_i) r^(t-2).
 
@@ -288,14 +288,12 @@ def derivative(n: int, kind: NormKind, axes: Sequence[int]) -> TermSum:
     axes = tuple(map(index, axes))
     if any(not 1 <= a <= n for a in axes):
         raise ValueError(f"axes {axes} out of range 1..{n}")
-    if not kind.is_power and not axes:
-        raise ValueError("the logarithm function itself is outside the term class")
     if kind.is_power:
-        u = seed(n, kind)[0]
-        rest = axes
+        u, rest = seed(n, kind)[0], axes
+    elif axes:
+        u, rest = seed(n, kind)[axes[-1] - 1], axes[:-1]
     else:
-        u = seed(n, kind)[axes[-1] - 1]
-        rest = axes[:-1]
+        raise ValueError("the logarithm function itself is outside the term class")
     for axis in rest:
         u = u.differentiate(axis)
     return u
@@ -326,7 +324,7 @@ class _MonomialTable(dict):
 
     def __init__(self, n: int, kind: NormKind, k: int, points: Sequence[SamplePoint]):
         super().__init__()
-        b = kind.s.denominator if kind.is_power else 1
+        b = kind.radial_base.denominator
         self.base, self.top = k + 1, (k + 1) ** n
         coords, radii = [], []
         for point in points:
@@ -384,7 +382,7 @@ def _walk(n: int, kind: NormKind, k: int, table: _MonomialTable):
     multinomial weight grows along it by (depth + 1) / (multiplicity of the
     new axis).  Each leaf is S = sum c P^beta R^(k-u) at every point of ``table``.
     """
-    a, b = (kind.s.numerator, kind.s.denominator) if kind.is_power else (0, 1)
+    a, b = kind.radial_base.as_integer_ratio()
     base, top = table.base, table.top
     places = [base ** i for i in range(n)]
     down_factors = [e * b for e in range(base)]
@@ -452,8 +450,7 @@ def _rescaled_sums(
 
 def _unrescale(kind: NormKind, k: int, point: SamplePoint, value: Rational) -> Rational:
     r_sq = point.r_sq
-    base = kind.s if kind.is_power else Fraction(0)
-    return rational_pow(r_sq, base) * value / r_sq ** k
+    return rational_pow(r_sq, kind.radial_base) * value / r_sq ** k
 
 
 def grad_norm_sq(
@@ -525,7 +522,7 @@ def grad_norm_sq_symbolic(n: int, kind: NormKind, k: int) -> TermSum:
     for combo, weight in _multiset_weights(n, k).items():
         u = derivative(n, kind, combo)
         parts += (((m, j), c * weight) for c, m, j in u.multiply(u).terms)
-    return TermSum._merged(n, 2 * kind.s if kind.is_power else Fraction(0), parts)
+    return TermSum._merged(n, 2 * kind.radial_base, parts)
 
 
 def _proportional(p: SamplePoint, q: SamplePoint) -> bool:

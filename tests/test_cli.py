@@ -354,12 +354,43 @@ def test_usage_errors_exit_one(capsys):
         ("1..2..3", "radnorm: error: not a range: '1..2..3'\n"),
         ("1..", "radnorm: error: not a range: '1..'\n"),
         ("a", "radnorm: error: not a range: 'a'\n"),
+        # ASCII digits only, as --s reads them: int() alone takes all four
+        ("\u0663", "radnorm: error: not a range: '\u0663'\n"),
+        ("1_0", "radnorm: error: not a range: '1_0'\n"),
+        ("1..\uff13", "radnorm: error: not a range: '1..\uff13'\n"),
+        (" 2", "radnorm: error: not a range: ' 2'\n"),
     ],
 )
 def test_a_malformed_range_is_one_usage_line(capsys, span, message):
     for spans in (["--N", span, "--k", "2"], ["--N", "2", "--k", span]):
         code, out, err = run(capsys, "table", "--norm", "gamma", "--s", "1", *spans)
         assert (code, out, err) == (EXIT_USAGE, "", message)
+
+
+@pytest.mark.parametrize("value", ["\u0663", "\uff13", "1_0", " 2", "2.0", "0x2"])
+@pytest.mark.parametrize("argv, option", [
+    (["verify", "--kind", "logarithm", "--k", "2"], "--N"),
+    (["verify", "--kind", "logarithm", "--N", "2"], "--k"),
+    (["verify", "--kind", "logarithm", "--N", "2", "--k", "2"], "--seed"),
+    (["table", "--norm", "ell", "--N", "2", "--k", "2"], "--seed"),
+    (["identities"], "--seed"),
+    (["identities"], "--max-m"),
+    (["identities"], "--max-N"),
+    (["identities"], "--max-k"),
+    (["identities"], "--trials"),
+])
+def test_integer_options_take_ascii_digits_only(capsys, argv, option, value):
+    code, out, err = run(capsys, *argv, option, value)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith(f"usage: radnorm {argv[0]} ")
+    assert err.endswith(f"radnorm {argv[0]}: error: argument {option}: invalid int value: {value!r}\n")
+
+
+def test_integer_options_keep_their_sign_and_leading_zeros(capsys):
+    code, out, _ = run(capsys, "verify", "--kind", "logarithm", "--N", "+02", "--k", "002",
+                       "--seed", "-0", "--format", "json")
+    assert code == EXIT_OK
+    assert json.loads(out)["request"] == {"N": 2, "k": 2, "kind": "logarithm", "s": None}
 
 
 @pytest.mark.parametrize(

@@ -12,9 +12,8 @@ from radnorm.constants import (
     ConstantValue,
     NormKind,
     _evens,
-    _log_terms,
-    _power_terms,
     _recursive_kernel,
+    _terms,
     ell2_special,
     ell_1d,
     ell_closed,
@@ -154,11 +153,11 @@ def test_closed_equals_recursive_on_grid():
 
 def _deep_gamma(n, s, k):
     # The recursive kernel fed E(n-1, l) from the Fraction self-recursion in reference.py.
-    return _recursive_kernel(n, k, *_power_terms(Fraction(s), k), reference_even_table(n - 1, k))
+    return _recursive_kernel(n, k, *_terms(NormKind.power(s), k), reference_even_table(n - 1, k))
 
 
 def _deep_ell(n, k):
-    return _recursive_kernel(n, k, *_log_terms(k), reference_even_table(n - 1, k))
+    return _recursive_kernel(n, k, *_terms(NormKind.logarithm(), k), reference_even_table(n - 1, k))
 
 
 def test_deep_recursion_agrees():
@@ -357,13 +356,20 @@ def test_norm_kind_validation():
         lambda s: TermSum.single(2, s, (1, 0), 0, 1),
         lambda s: TermSum.single(2, 0, (1, 0), 0, 1).scale(s),
         lambda s: ConstantValue(ConstantQuery(2, 1, NormKind.power(2)), s, "closed"),
+        lambda s: ConstantQuery(s, 2, NormKind.logarithm()),
+        lambda s: ConstantQuery(2, s, NormKind.logarithm()),
+        lambda s: gamma_closed(s, 1, 2),
+        lambda s: gamma_closed(2, 1, s),
+        lambda s: ell_recursive(s, 2),
+        lambda s: ell_closed(2, s),
     ],
     ids=[
         "gamma_closed", "gamma_1d", "gamma_recursive", "power_coeffs", "NormKind.power",
         "NormKind", "taylor_compose_norm_sq", "SamplePoint", "half_identity_check",
         "format_rational", "pochhammer", "binomial", "rational_pow-base", "rational_pow-exponent",
         "TermSum.build-coeff", "TermSum.build-base", "TermSum.single-coeff", "TermSum.single-base",
-        "TermSum.scale", "ConstantValue",
+        "TermSum.scale", "ConstantValue", "ConstantQuery-dimension", "ConstantQuery-order",
+        "gamma_closed-dimension", "gamma_closed-order", "ell_recursive-dimension", "ell_closed-order",
     ],
 )
 @pytest.mark.parametrize("s", [0.1, 2.0, float("nan"), True, False], ids=repr)

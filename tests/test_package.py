@@ -12,6 +12,7 @@ SRC = Path(radnorm.__file__).resolve().parent
 MAX_SETTABLE_VALUES = 22
 MAX_SRC_LINES = 1_900
 MEMO_CACHES = {"pochhammer", "_fixed_sample_points"}
+FAMILY_BRANCHES = 13
 
 EXPORTS = {
     "__version__",
@@ -119,3 +120,20 @@ def test_no_memo_cache_is_added_unnoticed():
     assert found == MEMO_CACHES
     source = "@lru_cache(maxsize=8)\ndef f(): pass\n@functools.cache\ndef g(): pass\n@staticmethod\ndef h(): pass\n"
     assert list(_memo_caches(ast.parse(source))) == ["f", "g"]
+
+
+def _family_branches(tree):
+    # Each read of ``.is_power``: a place that treats |x|^s and log|x| apart.
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "is_power":
+            yield node.lineno
+
+
+def test_no_family_branch_is_added_unnoticed():
+    # log|x| is |x|^s / s at s = 0, and NormKind.radial_base carries the one
+    # difference most code needs; another branch on the family is a deliberate change.
+    found = [f"{path.stem}:{line}" for path in sorted(SRC.glob("*.py"))
+             for line in _family_branches(ast.parse(path.read_text(encoding="utf-8")))]
+    assert len(found) == FAMILY_BRANCHES, found
+    source = "def is_power(k): return k.is_power or not q.is_power\nk.radial_base\n"
+    assert list(_family_branches(ast.parse(source))) == [1, 1]

@@ -12,11 +12,12 @@ import pytest
 
 from radnorm import constants
 from radnorm.constants import (
+    NormKind,
     _closed_kernel,
     _even_product,
     _evens,
-    _power_terms,
     _recursive_kernel,
+    _terms,
     ell2_special,
     ell_closed,
     ell_recursive,
@@ -90,7 +91,7 @@ def test_running_even_products_match_the_factorial_form():
 def test_recursive_kernel_takes_one_binomial_per_inner_sum_term(n, monkeypatch):
     k = 160
     lo = (k + 1) // 2
-    nums, den = _power_terms(S, k)
+    nums, den = _terms(NormKind.power(S), k)
     terms = sum(k - l - lo + 1 for l in range(k // 2 + 1))  # the (p, l) pairs
     calls, real_comb = [], constants.comb
 

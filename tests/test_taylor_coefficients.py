@@ -1,5 +1,6 @@
 """The integer profile coefficients of both families against the Fraction
-construction they replaced (``reference.py``), pair for pair, and the one
+construction they replaced (``reference.py``), pair for pair; the logarithm
+constants as the s^2 coefficients of the power constants; and the one
 ``Fraction`` each formula route builds per call."""
 
 from fractions import Fraction
@@ -10,9 +11,9 @@ from hypothesis import strategies as st
 
 from radnorm import constants
 from radnorm.constants import (
-    _log_terms,
-    _power_terms,
+    NormKind,
     _profile_terms,
+    _terms,
     ell_closed,
     ell_recursive,
     gamma_closed,
@@ -27,12 +28,13 @@ from reference import reference_log_terms, reference_power_terms
 EXPONENTS = [Fraction(v) for v in (0, 2, 4, -2, 1, -1, 3)] + [
     Fraction(1, 2), Fraction(-5, 3), Fraction(7, 4), Fraction(23, 9), Fraction(-79, 14),
 ]
+LOG = NormKind.logarithm()
 
 
 def test_power_terms_are_the_reference_pairs_up_to_order_160():
     for k in range(161):
         for s in EXPONENTS:
-            assert _power_terms(s, k) == reference_power_terms(s, k), (s, k)
+            assert _terms(NormKind.power(s), k) == reference_power_terms(s, k), (s, k)
 
 
 @settings(max_examples=200, deadline=None)
@@ -42,12 +44,12 @@ def test_power_terms_are_the_reference_pairs_up_to_order_160():
     k=st.integers(min_value=0, max_value=160),
 )
 def test_power_terms_are_the_reference_pairs(s, k):
-    assert _power_terms(s, k) == reference_power_terms(s, k)
+    assert _terms(NormKind.power(s), k) == reference_power_terms(s, k)
 
 
 def test_log_terms_are_the_reference_pairs_up_to_order_160():
     for k in range(1, 161):
-        assert _log_terms(k) == reference_log_terms(k) == _profile_terms(log_coeffs(), k), k
+        assert _terms(LOG, k) == reference_log_terms(k) == _profile_terms(log_coeffs(), k), k
 
 
 def test_the_coefficient_callables_still_give_the_constants():
@@ -56,6 +58,31 @@ def test_the_coefficient_callables_still_give_the_constants():
             assert taylor_compose_norm_sq(n, k, power_coeffs(s)) == gamma_closed(n, s, k)
         if k:
             assert taylor_compose_norm_sq(n, k, log_coeffs()) == ell_closed(n, k)
+
+
+def _low_coefficients(values, count):
+    # The s^0 .. s^(count-1) coefficients of the polynomial through (s, values[s]),
+    # s = 0..len(values)-1: forward differences times C(s, j) expanded in powers of s.
+    coeffs, basis, row = [Fraction(0)] * count, [Fraction(1)], list(values)
+    for j in range(len(values)):
+        for i, c in enumerate(basis[:count]):
+            coeffs[i] += row[0] * c
+        row = [b - a for a, b in zip(row, row[1:])]
+        # C(s, j+1) = C(s, j) (s - j) / (j + 1)
+        basis = [(lower - j * upper) / (j + 1) for lower, upper in zip([0, *basis], [*basis, 0])]
+    return coeffs
+
+
+def test_the_log_constant_is_the_s_squared_coefficient_of_the_power_constant():
+    # log|x| = lim (|x|^s - 1) / s, so D^k |x|^s = s D^k log|x| + O(s^2) for k >= 1, and
+    # the power constant, a polynomial of degree <= 2k in s, starts s^2 * (log constant).
+    # Only power values enter the interpolation.
+    for n in range(1, 7):
+        for k in range(1, 13):
+            for route in (gamma_closed, gamma_recursive):
+                c0, c1, c2 = _low_coefficients([route(n, s, k) for s in range(2 * k + 1)], 3)
+                assert (c0, c1) == (0, 0), (route.__name__, n, k)
+                assert c2 == ell_closed(n, k) == ell_recursive(n, k), (route.__name__, n, k)
 
 
 @pytest.mark.parametrize("route, args", [
