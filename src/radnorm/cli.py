@@ -29,6 +29,7 @@ from .symdiff import (
     _check_tuples,
     _dimension_split_checks,
     _fixed_sample_points,
+    _validate_norm_args,
     default_sample_points,
     functions_equal,
     is_zero_function,
@@ -204,8 +205,8 @@ def cmd_verify(
     timing: bool = False,
 ) -> int:
     """Run closed, recursive and oracle methods; exit 0 only on exact match."""
-    if points is None:
-        points = default_sample_points(n, seed)
+    _validate_norm_args(n, kind, k, points or ())  # the oracle box before any point is built
+    points = default_sample_points(n, seed) if points is None else points
     report = verify_constancy(n, kind, k, list(points))
     methods = {m: format_rational(v) for m, v in report.method_values.items()}
     values = [(p, format_rational(v)) for p, v in report.point_values]

@@ -31,7 +31,7 @@ from math import comb, gcd, lcm, prod
 from operator import index, mul
 from typing import Callable
 
-from .exactnum import Rational, as_rational, binomial, factorial, format_rational
+from .exactnum import Rational, _as_int, as_rational, binomial, factorial, format_rational
 
 __all__ = [
     "NormKind",
@@ -110,9 +110,7 @@ class ConstantQuery(namedtuple("ConstantQuery", "dimension order kind")):
     __slots__ = ()
 
     def __new__(cls, dimension: int, order: int, kind: NormKind):
-        if isinstance(dimension, bool) or isinstance(order, bool):
-            raise TypeError("dimension and order must be integers, not bools")
-        dimension, order = index(dimension), index(order)
+        dimension, order = _as_int(dimension), _as_int(order)
         if dimension < 1:
             raise ValueError("dimension must be >= 1")
         if order < 0:
@@ -152,6 +150,7 @@ def log_coeffs() -> Callable[[int], Rational]:
     """Taylor coefficients of (1/2)log(1+t): n -> (-1)^(n-1) / (2n) for n >= 1."""
 
     def coeff(n: int) -> Rational:
+        n = _as_int(n)
         if n < 1:
             raise ValueError("logarithm coefficients are defined for n >= 1 only")
         return Fraction(1 if n % 2 else -1, 2 * n)
@@ -268,6 +267,7 @@ def _even_product(n: int, m: int) -> int:
 
 def gamma_even(n: int, m: int) -> Rational:
     """Constant for the even power s = 2m at order k = 2m: 2^(2m) m! (2m)! (n/2+m-1)_m."""
+    m = _as_int(m)
     ConstantQuery(n, 2 * m, NormKind.power(2 * m))
     return Fraction(_even_product(n, m))
 
@@ -303,10 +303,7 @@ def taylor_compose_norm_sq(n: int, k: int, coeffs: Callable[[int], Rational]) ->
     With coeffs from ``power_coeffs(s)`` this reproduces the power constant,
     with ``log_coeffs()`` the logarithm constant.
     """
-    if n < 1:
-        raise ValueError("dimension must be >= 1")
-    if k < 0:
-        raise ValueError("derivative order must be >= 0")
+    n, k, _ = ConstantQuery(n, k, NormKind.power(_ZERO))
     return _recursive_kernel(n, k, *_profile_terms(coeffs, k), _evens(n - 1, k))
 
 
@@ -347,6 +344,7 @@ def half_identity_check(nu, m: int) -> bool:
     independently in integers (summation vs. product); a correct
     implementation returns True for every rational nu and m >= 0.
     """
+    m = _as_int(m)
     if m < 0:
         raise ValueError("m must be >= 0")
     lhs, rhs = _half_identity_sides(as_rational(nu), m)
@@ -358,11 +356,10 @@ def phi_deriv_at_zero(m: int, k: int) -> Rational:
 
     Nonzero only for m <= k <= 2m, where it equals 2^(2m-k) k! C(m, k-m).
     """
+    m, k = _as_int(m), _as_int(k)
     if m < 0 or k < 0:
         raise ValueError("m and k must be >= 0")
-    if not m <= k <= 2 * m:
-        return Fraction(0)
-    return Fraction(factorial(k) * comb(m, k - m) << (2 * m - k))
+    return Fraction(factorial(k) * comb(m, k - m) << (2 * m - k) if m <= k <= 2 * m else 0)
 
 
 # The method registry: name -> (n, kind, k) -> constant, or None where the method

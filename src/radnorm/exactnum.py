@@ -13,6 +13,7 @@ import re
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from operator import index
 
 __all__ = [
     "Rational",
@@ -70,6 +71,13 @@ def as_rational(value) -> Rational:
     return Fraction(value)
 
 
+def _as_int(value) -> int:
+    """An integer argument as an int; bools and inexact values such as 2.0 raise TypeError."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected an integer, got bool {value!r}")
+    return index(value)
+
+
 def format_rational(value) -> str:
     """Render a value in the wire format "p/q" ("p" when the denominator is 1).
 
@@ -99,13 +107,11 @@ def pochhammer(nu, k: int) -> Rational:
     POCHHAMMER_CACHE_SIZE entries; the function is pure, so caching is
     unobservable.
     """
+    k = _as_int(k)
     if k < 0:
         raise ValueError("pochhammer order must be nonnegative")
     nu = as_rational(nu)
-    result = Fraction(1)
-    for j in range(k):
-        result *= nu - j
-    return result
+    return math.prod((nu - j for j in range(k)), start=Fraction(1))
 
 
 def binomial(nu, k: int) -> Rational:

@@ -40,11 +40,11 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
 from math import comb, lcm, prod
-from operator import add, index, mul
+from operator import add, mul
 from typing import Iterable, Mapping, Sequence
 
 from .constants import FORMULAS, ConstantQuery, NormKind, gamma_special
-from .exactnum import Rational, as_rational, factorial, format_rational, rational_pow
+from .exactnum import Rational, _as_int, as_rational, factorial, format_rational, rational_pow
 
 __all__ = [
     "MAX_DIMENSION",
@@ -105,15 +105,16 @@ class TermSum(namedtuple("TermSum", "n_vars radial_base terms")):
         entries: Mapping[tuple[tuple[int, ...], int], Rational] | Iterable,
     ) -> "TermSum":
         """Merge, drop zero coefficients, and sort into canonical order."""
+        n_vars = _as_int(n_vars)
         if n_vars < 1:
             raise ValueError("n_vars must be >= 1")
         parts = []
         items = entries.items() if isinstance(entries, Mapping) else entries
         for (monomial, offset), coeff in items:
-            monomial = tuple(map(index, monomial))
+            monomial = tuple(map(_as_int, monomial))
             if len(monomial) != n_vars or any(e < 0 for e in monomial):
                 raise ValueError(f"bad monomial {monomial} for n_vars={n_vars}")
-            parts.append(((monomial, index(offset)), as_rational(coeff)))
+            parts.append(((monomial, _as_int(offset)), as_rational(coeff)))
         return cls._merged(n_vars, as_rational(radial_base), parts)
 
     @classmethod
@@ -154,9 +155,9 @@ class TermSum(namedtuple("TermSum", "n_vars radial_base terms")):
 
     def differentiate(self, axis: int) -> "TermSum":
         """Exact partial derivative along 1-based axis; stays in the class."""
-        if not 1 <= axis <= self.n_vars:
+        a = _as_int(axis) - 1
+        if not 0 <= a < self.n_vars:
             raise ValueError(f"axis {axis} out of range 1..{self.n_vars}")
-        a = axis - 1
         parts = []
         for c, monomial, j in self.terms:
             e = monomial[a]
@@ -285,7 +286,7 @@ def derivative(n: int, kind: NormKind, axes: Sequence[int]) -> TermSum:
     ``axes`` is the full tuple of 1-based differentiation indices; for the
     logarithm kind it must be nonempty.
     """
-    axes = tuple(map(index, axes))
+    axes = tuple(map(_as_int, axes))
     if any(not 1 <= a <= n for a in axes):
         raise ValueError(f"axes {axes} out of range 1..{n}")
     if kind.is_power:
@@ -307,11 +308,12 @@ def _multiset_weights(n: int, k: int) -> dict[tuple[int, ...], int]:
     return weights
 
 
-def _validate_norm_args(n: int, kind: NormKind, k: int, points: Sequence[SamplePoint]) -> None:
-    ConstantQuery(n, k, kind)
+def _validate_norm_args(n: int, kind: NormKind, k: int, points: Sequence[SamplePoint]) -> ConstantQuery:
+    query = ConstantQuery(n, k, kind)
     if any(len(point.coords) != n for point in points):
         raise ValueError("point dimension mismatch")
     _check_scale(n, k)
+    return query
 
 
 class _MonomialTable(dict):
@@ -539,20 +541,17 @@ def verify_constancy(
     """Check that the rescaled oracle value is the same at every point and
     agrees exactly with the closed-form and recursive constants.
 
-    For n >= 2 at least two non-proportional points are required (points on
-    one ray only re-test homogeneity); for n = 1 one point suffices since
-    every pair is proportional there.
+    The domain, point dimensions and oracle box are checked first.  Then
+    n >= 2 needs two or more points not all on one ray, which only re-tests
+    homogeneity; one comparison with the first point per point decides that.
     """
-    query = ConstantQuery(n, k, kind)
+    query = _validate_norm_args(n, kind, k, points)
     if not points:
         raise ValueError("at least one sample point is required")
-    if any(len(p.coords) != n for p in points):
-        raise ValueError("point dimension mismatch")
-    if n >= 2:
-        if len(points) < 2:
-            raise ValueError("need at least two sample points")
-        if all(_proportional(p, q) for p in points for q in points):
-            raise ValueError("sample points must not all be proportional")
+    if n >= 2 and len(points) < 2:
+        raise ValueError("need at least two sample points")
+    if n >= 2 and all(_proportional(points[0], q) for q in points[1:]):
+        raise ValueError("sample points must not all be proportional")
 
     start = time.perf_counter()
     values = rescaled_grad_norms(n, kind, k, points)
@@ -737,6 +736,7 @@ def default_sample_points(n: int, seed: int = 0) -> list[SamplePoint]:
     duplicates collapse (all four coincide at n = 1).  The two seeded points
     have coordinates p/q with |p| <= 7, q <= 7.
     """
+    n = _as_int(n)
     if n < 1:
         raise ValueError("dimension must be >= 1")
     fixed = _fixed_sample_points(n)

@@ -565,6 +565,24 @@ def test_capacity_is_checked_before_any_work(capsys, monkeypatch, argv):
     assert err.startswith("radnorm: capacity exceeded: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["--N", "7"],
+    ["--N", "3000"],
+    ["--N", "7", "--points", "1,0,0,0,0,0,0;2,0,0,0,0,0,0"],  # over the box and on one ray
+], ids=lambda argv: " ".join(argv))
+def test_verify_checks_the_oracle_box_before_building_or_comparing_points(capsys, monkeypatch, argv):
+    from radnorm import symdiff
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("points built or compared before the capacity check")
+
+    monkeypatch.setattr(cli, "default_sample_points", no_work)
+    monkeypatch.setattr(symdiff, "_proportional", no_work)
+    code, out, err = run(capsys, "verify", "--kind", "logarithm", "--k", "1", *argv)
+    assert (code, out) == (EXIT_CAPACITY, "")
+    assert err.startswith("radnorm: capacity exceeded: ") and err.count("\n") == 1
+
+
 def test_requests_at_the_caps_run(capsys):
     code, out, _ = run(capsys, "table", "--norm", "gamma", "--N", "2", "--k", str(MAX_FORMULA_ORDER),
                        "--s", "0", "--methods", "special", "--format", "csv")

@@ -41,6 +41,8 @@ from radnorm.exactnum import (
 from radnorm.symdiff import (
     SamplePoint,
     TermSum,
+    default_sample_points,
+    derivative,
     dimension_split_check,
     grad_norm_sq,
     laplacian_recursion_check,
@@ -362,6 +364,23 @@ def test_norm_kind_validation():
         lambda s: gamma_closed(2, 1, s),
         lambda s: ell_recursive(s, 2),
         lambda s: ell_closed(2, s),
+        # integer arguments outside ConstantQuery: each goes through exactnum._as_int
+        lambda s: pochhammer(Fraction(1, 2), s),
+        lambda s: binomial(Fraction(1, 2), s),
+        lambda s: power_coeffs(3)(s),
+        lambda s: log_coeffs()(s),
+        lambda s: gamma_even(3, s),
+        lambda s: taylor_compose_norm_sq(s, 2, power_coeffs(3)),
+        lambda s: taylor_compose_norm_sq(2, s, power_coeffs(3)),
+        lambda s: half_identity_check(Fraction(1, 2), s),
+        lambda s: phi_deriv_at_zero(s, 2),
+        lambda s: phi_deriv_at_zero(2, s),
+        lambda s: TermSum.build(s, 0, {}),
+        lambda s: TermSum.single(2, 0, (s, 0), 0, 1),
+        lambda s: TermSum.single(2, 0, (1, 0), s, 1),
+        lambda s: TermSum.single(2, 0, (1, 0), 0, 1).differentiate(s),
+        lambda s: derivative(2, NormKind.power(3), (s,)),
+        default_sample_points,
     ],
     ids=[
         "gamma_closed", "gamma_1d", "gamma_recursive", "power_coeffs", "NormKind.power",
@@ -370,6 +389,11 @@ def test_norm_kind_validation():
         "TermSum.build-coeff", "TermSum.build-base", "TermSum.single-coeff", "TermSum.single-base",
         "TermSum.scale", "ConstantValue", "ConstantQuery-dimension", "ConstantQuery-order",
         "gamma_closed-dimension", "gamma_closed-order", "ell_recursive-dimension", "ell_closed-order",
+        "pochhammer-order", "binomial-order", "power_coeffs-index", "log_coeffs-index", "gamma_even-m",
+        "taylor_compose_norm_sq-dimension", "taylor_compose_norm_sq-order", "half_identity_check-m",
+        "phi_deriv_at_zero-m", "phi_deriv_at_zero-k", "TermSum.build-n_vars", "TermSum.single-exponent",
+        "TermSum.single-offset", "TermSum.differentiate-axis", "derivative-axes",
+        "default_sample_points-dimension",
     ],
 )
 @pytest.mark.parametrize("s", [0.1, 2.0, float("nan"), True, False], ids=repr)
@@ -455,8 +479,8 @@ def test_pochhammer_cache_does_not_grow_with_fresh_exponents():
 POWER, LOG = NormKind.power(Fraction(1, 3)), NormKind.logarithm()
 POINT, OTHER = SamplePoint((1, 2)), SamplePoint((2, 1))
 
-# name -> (kind, (n, k) -> call); each entry leaves its domain check to ConstantQuery,
-# except taylor_compose_norm_sq, which takes no kind and words its check the same way.
+# name -> (kind, (n, k) -> call); each entry leaves its domain check to ConstantQuery.
+# taylor_compose_norm_sq takes no kind: it checks n and k as a power-kind query.
 DOMAIN_ENTRIES = {
     "taylor_compose_norm_sq": (POWER, lambda n, k: taylor_compose_norm_sq(n, k, power_coeffs(POWER.s))),
     "gamma_closed": (POWER, lambda n, k: gamma_closed(n, POWER.s, k)),

@@ -13,6 +13,7 @@ MAX_SETTABLE_VALUES = 22
 MAX_SRC_LINES = 1_900
 MEMO_CACHES = {"pochhammer", "_fixed_sample_points"}
 FAMILY_BRANCHES = 13
+BOOL_CHECKS = 2
 
 EXPORTS = {
     "__version__",
@@ -137,3 +138,21 @@ def test_no_family_branch_is_added_unnoticed():
     assert len(found) == FAMILY_BRANCHES, found
     source = "def is_power(k): return k.is_power or not q.is_power\nk.radial_base\n"
     assert list(_family_branches(ast.parse(source))) == [1, 1]
+
+
+def _bool_checks(tree):
+    # Each isinstance(..., bool) call, with bool alone or among a tuple of types.
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance" and len(node.args) == 2:
+            if any(getattr(name, "id", None) == "bool" for name in ast.walk(node.args[1])):
+                yield node.lineno
+
+
+def test_no_bool_check_is_added_unnoticed():
+    # A bool is an int to Python.  as_rational and exactnum._as_int reject it, and every exact
+    # or integer argument but factorial's goes through one of them; another copy is a deliberate change.
+    found = [f"{path.stem}:{line}" for path in sorted(SRC.glob("*.py"))
+             for line in _bool_checks(ast.parse(path.read_text(encoding="utf-8")))]
+    assert len(found) == BOOL_CHECKS, found
+    source = "isinstance(a, bool) or isinstance(b, (int, bool))\nisinstance(c, int)\nbool(d)\nf(e, bool)\n"
+    assert list(_bool_checks(ast.parse(source))) == [1, 1]

@@ -400,6 +400,28 @@ def test_verify_constancy_preconditions():
     assert verify_constancy(1, LOG, 2, [pt(1), pt(2)]).exact_match
 
 
+def test_the_proportionality_rule_compares_each_point_with_the_first(monkeypatch):
+    from radnorm import symdiff
+
+    # one point off the ray is enough, wherever it stands
+    for points in ([pt(1, 0), pt(1, 2), pt(2, 4)], [pt(1, 2), pt(1, 0), pt(2, 4)], [pt(1, 2), pt(2, 4), pt(1, 0)]):
+        assert verify_constancy(2, LOG, 2, points).exact_match
+    calls = []
+    real = symdiff._proportional
+
+    def counted(p, q):
+        calls.append((p, q))
+        if len(calls) > 2_000:
+            raise AssertionError("more comparisons than points")
+        return real(p, q)
+
+    monkeypatch.setattr(symdiff, "_proportional", counted)
+    ray = [pt(i, 2 * i) for i in range(1, 2_001)]
+    with pytest.raises(ValueError, match="^sample points must not all be proportional$"):
+        verify_constancy(2, LOG, 1, ray)
+    assert len(calls) == 1_999 and {p for p, _ in calls} == {ray[0]}
+
+
 def test_power_order_zero_is_the_constant_one():
     for s in (3, Fraction(-1, 2)):
         kind = NormKind.power(s)
