@@ -2,7 +2,9 @@
 
 Every scalar in this package is a `fractions.Fraction` (re-exported as
 `Rational`): always stored reduced with a positive denominator, arithmetic
-is exact, and division by zero raises instead of producing a value.
+is exact, and division by zero raises instead of producing a value.  The
+module holds no state: each primitive is computed afresh on every call, and
+the package's only memo is `symdiff._fixed_sample_points`.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ import numbers
 import re
 import sys
 from fractions import Fraction
-from functools import lru_cache
 from operator import index
 
 __all__ = [
@@ -27,13 +28,6 @@ __all__ = [
 ]
 
 Rational = Fraction
-
-# Entries kept by the pochhammer memo.  No formula route calls pochhammer; its
-# callers are binomial (power_coeffs, so taylor_compose_norm_sq, and the plain
-# reference sums in the tests) and the public API, whose keys are arbitrary,
-# often a fresh s each time.  The bound caps what a long-running caller keeps:
-# 4,096 entries of orders up to 160 hold about 1.5 MB.
-POCHHAMMER_CACHE_SIZE = 4096
 
 # Wire format: optional sign on the numerator, "/q" omitted when q == 1; ASCII digits only.
 _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
@@ -96,27 +90,26 @@ def format_rational(value) -> str:
 
 def factorial(k: int) -> int:
     """k! as an exact integer; k must be a nonnegative integer."""
-    return math.factorial(k)
+    return math.factorial(_as_int(k))
 
 
-@lru_cache(maxsize=POCHHAMMER_CACHE_SIZE, typed=True)
 def pochhammer(nu, k: int) -> Rational:
     """Falling factorial (nu)_k = nu (nu-1) ... (nu-k+1), with (nu)_0 = 1.
 
-    Memoized per (nu, k) in a least-recently-used cache of
-    POCHHAMMER_CACHE_SIZE entries; the function is pure, so caching is
-    unobservable.
+    For nu = p/q this is the integer product p (p-q) ... (p-(k-1)q) over
+    q^k, reduced once at the end.
     """
     k = _as_int(k)
     if k < 0:
         raise ValueError("pochhammer order must be nonnegative")
     nu = as_rational(nu)
-    return math.prod((nu - j for j in range(k)), start=Fraction(1))
+    p, q = nu.numerator, nu.denominator
+    return Fraction(math.prod(range(p, p - k * q, -q)), q ** k)
 
 
 def binomial(nu, k: int) -> Rational:
     """Generalized binomial coefficient (nu)_k / k! for rational nu."""
-    return pochhammer(as_rational(nu), k) / factorial(k)
+    return pochhammer(nu, k) / factorial(k)
 
 
 def _int_nth_root(value: int, degree: int) -> int | None:
@@ -145,6 +138,8 @@ def rational_pow(base, exponent) -> Rational:
     """
     base = as_rational(base)
     exponent = as_rational(exponent)
+    if base == 0 and exponent < 0:
+        raise ZeroDivisionError(f"{base} ** {exponent}: zero to a negative power")
     if exponent.denominator == 1:
         return base ** exponent.numerator
     if base < 0:

@@ -1,9 +1,12 @@
 """Reference implementations, written the plain way, for cross-checks.
 
-The closed double sum term by term in Fraction, with no integer tricks; the
-package's closed and recursive kernels are checked against it.  The profile
-coefficients of both families from Fraction values over their lcm, the way
-the package built them before it moved them to integers.  The product
+The Pochhammer symbol as a running Fraction product, the way the package
+computed it before it took one integer product over q^k; ``pochhammer`` and
+``binomial`` are checked against it.  The closed double sum term by term in
+Fraction, with no integer tricks; the package's closed and recursive kernels
+are checked against it.  The profile coefficients of both families from
+Fraction values over their lcm, the way the package built them before it
+moved them to integers.  The product
 forms and the dimension recursion as Fraction and ``pochhammer`` expressions,
 the way they were written before the package moved them to integers.  The symbolic
 Laplacian and squared norm folded with repeated ``TermSum.__add__``; the
@@ -24,6 +27,11 @@ from operator import index
 
 from radnorm.exactnum import as_rational, binomial, factorial, pochhammer
 from radnorm.symdiff import Term, TermSum, derivative
+
+
+def reference_pochhammer(nu, k):
+    """(nu)_k = nu (nu-1) ... (nu-k+1) as a running Fraction product."""
+    return prod((Fraction(nu) - j for j in range(k)), start=Fraction(1))
 
 
 def reference_norm_sq(n, k, coeff):

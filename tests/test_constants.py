@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from golden import ELL_POLYS, GAMMA_POLYS, S_VALUES
-from radnorm import constants
+from radnorm import constants, exactnum
 from radnorm.constants import (
     FORMULAS,
     METHODS,
@@ -31,7 +31,6 @@ from radnorm.constants import (
     taylor_compose_norm_sq,
 )
 from radnorm.exactnum import (
-    POCHHAMMER_CACHE_SIZE,
     binomial,
     factorial,
     format_rational,
@@ -367,6 +366,7 @@ def test_norm_kind_validation():
         # integer arguments outside ConstantQuery: each goes through exactnum._as_int
         lambda s: pochhammer(Fraction(1, 2), s),
         lambda s: binomial(Fraction(1, 2), s),
+        factorial,
         lambda s: power_coeffs(3)(s),
         lambda s: log_coeffs()(s),
         lambda s: gamma_even(3, s),
@@ -389,11 +389,11 @@ def test_norm_kind_validation():
         "TermSum.build-coeff", "TermSum.build-base", "TermSum.single-coeff", "TermSum.single-base",
         "TermSum.scale", "ConstantValue", "ConstantQuery-dimension", "ConstantQuery-order",
         "gamma_closed-dimension", "gamma_closed-order", "ell_recursive-dimension", "ell_closed-order",
-        "pochhammer-order", "binomial-order", "power_coeffs-index", "log_coeffs-index", "gamma_even-m",
-        "taylor_compose_norm_sq-dimension", "taylor_compose_norm_sq-order", "half_identity_check-m",
-        "phi_deriv_at_zero-m", "phi_deriv_at_zero-k", "TermSum.build-n_vars", "TermSum.single-exponent",
-        "TermSum.single-offset", "TermSum.differentiate-axis", "derivative-axes",
-        "default_sample_points-dimension",
+        "pochhammer-order", "binomial-order", "factorial", "power_coeffs-index", "log_coeffs-index",
+        "gamma_even-m", "taylor_compose_norm_sq-dimension", "taylor_compose_norm_sq-order",
+        "half_identity_check-m", "phi_deriv_at_zero-m", "phi_deriv_at_zero-k", "TermSum.build-n_vars",
+        "TermSum.single-exponent", "TermSum.single-offset", "TermSum.differentiate-axis",
+        "derivative-axes", "default_sample_points-dimension",
     ],
 )
 @pytest.mark.parametrize("s", [0.1, 2.0, float("nan"), True, False], ids=repr)
@@ -458,19 +458,22 @@ def test_method_registry_is_the_method_list_and_decides_where_a_form_applies():
 # memory
 
 
-def test_pochhammer_cache_does_not_grow_with_fresh_exponents():
-    assert pochhammer.cache_info().maxsize == POCHHAMMER_CACHE_SIZE
+def test_formula_routes_never_call_pochhammer(monkeypatch):
+    # exactnum keeps no memo, and no formula route reaches pochhammer or binomial,
+    # so fresh exponents cost the routes nothing that outlives a call.
+    def refuse(nu, k):
+        raise AssertionError(f"pochhammer({nu}, {k}) was called")
+
+    monkeypatch.setattr(exactnum, "pochhammer", refuse)
+    with pytest.raises(AssertionError):
+        binomial(Fraction(1, 2), 2)  # binomial goes through the stub too
     n, k = 7, 40
-    gamma_closed(n, Fraction(1, 3), k)
-    gamma_recursive(n, Fraction(1, 3), k)
-    before = pochhammer.cache_info()
     for i in range(50):
         s = Fraction(2 * i + 1, 11)
-        gamma_closed(n, s, k)
-        gamma_recursive(n, s, k)
-    after = pochhammer.cache_info()
-    assert after.currsize == before.currsize
-    assert after.misses == before.misses  # nothing was added and evicted either
+        assert gamma_closed(n, s, k) == gamma_recursive(n, s, k)
+    for n, kind in ((4, NormKind.power(-2)), (2, NormKind.logarithm())):
+        values = {formula(n, kind, 12) for formula in FORMULAS.values()}
+        assert len(values) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import math
 import random
 import sys
 import time
@@ -18,6 +19,7 @@ from radnorm.exactnum import (
     pochhammer,
     rational_pow,
 )
+from reference import reference_pochhammer
 
 
 def test_factorial_base_cases():
@@ -54,7 +56,7 @@ def test_pochhammer_rejects_negative_order():
 
 
 def test_pochhammer_memo_does_not_answer_a_float_for_its_exact_twin():
-    # 0.5 == Fraction(1, 2) with the same hash, so an untyped memo would return the cached 1/2.
+    # 0.5 == Fraction(1, 2), yet only the exact value is an argument.
     assert pochhammer(Fraction(1, 2), 1) == Fraction(1, 2)
     with pytest.raises(TypeError):
         pochhammer(0.5, 1)
@@ -67,6 +69,18 @@ def test_pochhammer_recurrences_on_random_rationals():
         k = rng.randint(1, 8)
         assert pochhammer(nu, k) == nu * pochhammer(nu - 1, k - 1)
         assert pochhammer(nu, k) == pochhammer(nu, k - 1) * (nu - k + 1)
+
+
+def test_pochhammer_and_binomial_equal_the_fraction_product():
+    rng = random.Random(24)
+    cases = [(p, q, k) for p in (-50, 0, 50) for q in (1, 12) for k in (0, 1, 160)]
+    cases += [(rng.randint(-50, 50), rng.randint(1, 12), rng.randint(0, 160)) for _ in range(300)]
+    for p, q, k in cases:
+        nu = Fraction(p, q)
+        expected = reference_pochhammer(nu, k)
+        assert pochhammer(nu, k) == expected, (nu, k)
+        assert binomial(nu, k) == expected / math.factorial(k), (nu, k)
+    assert pochhammer(-3, 4) == reference_pochhammer(-3, 4) == 360  # an int nu, q = 1
 
 
 def test_binomial_small_values():
@@ -163,6 +177,13 @@ def test_rational_pow_exact_cases():
     assert rational_pow(Fraction(5, 2), -2) == Fraction(4, 25)
     assert rational_pow(Fraction(-2), 3) == -8
     assert rational_pow(Fraction(0), Fraction(1, 2)) == 0
+
+
+@pytest.mark.parametrize("exponent", [-1, Fraction(-3), Fraction(-1, 2), Fraction(-7, 3)], ids=str)
+def test_rational_pow_of_zero_to_a_negative_power_names_both(exponent):
+    # -1 and -3 take the integer-exponent branch, -1/2 and -7/3 the root branch.
+    with pytest.raises(ZeroDivisionError, match=rf"^0 \*\* {exponent}: zero to a negative power$"):
+        rational_pow(0, exponent)
 
 
 def test_rational_pow_rejects_irrational_results():

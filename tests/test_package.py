@@ -1,6 +1,7 @@
 """The package namespace, and the README's library quick tour run as written."""
 
 import ast
+import importlib.util
 import re
 from pathlib import Path
 
@@ -8,10 +9,11 @@ import radnorm
 from radnorm import constants, exactnum, symdiff
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+SPANS = README.parent / "perfbench" / "spans.py"
 SRC = Path(radnorm.__file__).resolve().parent
 MAX_SETTABLE_VALUES = 22
 MAX_SRC_LINES = 1_900
-MEMO_CACHES = {"pochhammer", "_fixed_sample_points"}
+MEMO_CACHES = {"_fixed_sample_points"}
 FAMILY_BRANCHES = 13
 BOOL_CHECKS = 2
 
@@ -150,9 +152,24 @@ def _bool_checks(tree):
 
 def test_no_bool_check_is_added_unnoticed():
     # A bool is an int to Python.  as_rational and exactnum._as_int reject it, and every exact
-    # or integer argument but factorial's goes through one of them; another copy is a deliberate change.
+    # or integer argument goes through one of them; another copy is a deliberate change.
     found = [f"{path.stem}:{line}" for path in sorted(SRC.glob("*.py"))
              for line in _bool_checks(ast.parse(path.read_text(encoding="utf-8")))]
     assert len(found) == BOOL_CHECKS, found
     source = "isinstance(a, bool) or isinstance(b, (int, bool))\nisinstance(c, int)\nbool(d)\nf(e, bool)\n"
     assert list(_bool_checks(ast.parse(source))) == [1, 1]
+
+
+def test_the_benchmark_tracer_finds_every_function_it_wraps():
+    # spans.install looks each of these up with no fallback, so a refactor of src/
+    # that drops one stops a traced benchmark run.  The table is read with a
+    # default, so the benchmark may rename or drop it.
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for span, module, attr in getattr(spans, "LAYER_FUNCTIONS", ()):
+        assert module.split(".")[0] == "radnorm", (span, module)
+        assert callable(getattr(importlib.import_module(module), attr, None)), (span, module, attr)
+    assert callable(symdiff.TermSum.differentiate)
+    assert callable(symdiff.TermSum.evaluate_reduced)
+    assert isinstance(symdiff.TermSum.__dict__.get("build"), classmethod)
