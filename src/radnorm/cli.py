@@ -73,11 +73,11 @@ class TableRequest:
         n_range: tuple[int, int],
         k_range: tuple[int, int],
         s_values: list[Fraction] | None,
-        methods: Sequence[str] = ("closed",),
-        fmt: str = "plain",
-        seed: int = 0,
-        decimal: bool = False,
-        force_oracle: bool = False,
+        methods: Sequence[str],
+        fmt: str,
+        seed: int,
+        decimal: bool,
+        force_oracle: bool,
     ):
         if norm not in NORMS:
             raise _UsageError(f"unknown norm {norm!r}")
@@ -164,8 +164,13 @@ def _table_cell(request: TableRequest, method: str, n: int, k: int, kind: NormKi
     return _oracle_constant(n, kind, k, request.seed)
 
 
-def cmd_table(request: TableRequest, out: TextIO | None = None) -> int:
+def cmd_table(args, out: TextIO) -> int:
     """Render one row per (N, k[, s]) with one column per requested method."""
+    n_range, k_range = _parse_span(args.n_span), _parse_span(args.k_span)
+    s_values = [parse_rational(c.strip()) for c in args.s_list.split(",")] if args.s_list else None
+    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    request = TableRequest(args.norm, n_range, k_range, s_values, methods, args.format, args.seed,
+                           args.decimal, args.force_oracle)
     columns = ["N", "k", "s", *request.methods] + (["decimal"] if request.decimal else [])
     rows = []  # cell texts, "" where a cell is blank
     for n in range(request.n_range[0], request.n_range[1] + 1):
@@ -190,24 +195,22 @@ def cmd_table(request: TableRequest, out: TextIO | None = None) -> int:
                  for n, k, *texts in rows],
     }
     plain = _aligned([columns] + [[t or "-" for t in row] for row in rows])
-    _emit(out or sys.stdout, request.fmt, payload, [columns, *rows], plain)
+    _emit(out, request.fmt, payload, [columns, *rows], plain)
     return EXIT_OK
 
 
-def cmd_verify(
-    n: int,
-    kind: NormKind,
-    k: int,
-    points: Sequence[SamplePoint] | None = None,
-    seed: int = 0,
-    fmt: str = "plain",
-    out: TextIO | None = None,
-    timing: bool = False,
-) -> int:
+def cmd_verify(args, out: TextIO) -> int:
     """Run closed, recursive and oracle methods; exit 0 only on exact match."""
+    if args.kind == "power" and args.s is None:
+        raise _UsageError("power kind needs --s")
+    if args.kind == "logarithm" and args.s is not None:
+        raise _UsageError("logarithm kind takes no --s")
+    n, k = args.n, args.k
+    kind = NormKind.power(parse_rational(args.s)) if args.kind == "power" else NormKind.logarithm()
+    points = None if args.points is None else _parse_points(args.points)
     _validate_norm_args(n, kind, k, points or ())  # the oracle box before any point is built
-    points = default_sample_points(n, seed) if points is None else points
-    report = verify_constancy(n, kind, k, list(points))
+    points = default_sample_points(n, args.seed) if points is None else points
+    report = verify_constancy(n, kind, k, points)
     methods = {m: format_rational(v) for m, v in report.method_values.items()}
     values = [(p, format_rational(v)) for p, v in report.point_values]
     payload = {
@@ -232,12 +235,12 @@ def cmd_verify(
     lines.append(f"verdict: {report.verdict}")
     if report.detail:
         lines.append(f"detail: {report.detail}")
-    if timing:
+    if args.timing:
         payload["report"].update(elapsed_ms=report.elapsed_ms, stage_ms=report.stage_ms)
         stages = [("elapsed", report.elapsed_ms), *report.stage_ms.items()]
         rows += [[f"{stage}_ms", f"{ms:.3f}"] for stage, ms in stages]
         lines += [f"{stage}_ms: {ms:.3f}" for stage, ms in stages]
-    _emit(out or sys.stdout, fmt, payload, rows, lines)
+    _emit(out, args.format, payload, rows, lines)
     return EXIT_OK if report.exact_match else EXIT_MISMATCH
 
 
@@ -367,16 +370,17 @@ def _run_identities(
     return [IdentitySection(name, *check(suite)) for name, check in _SECTIONS]
 
 
-def cmd_identities(max_m: int, max_n: int, max_k: int, trials: int, seed: int, fmt: str, out: TextIO) -> int:
+def cmd_identities(args, out: TextIO) -> int:
     """Run the identity suite; exit 0 only if every section passes."""
-    sections = _run_identities(max_m, max_n, max_k, trials, seed)
+    sections = _run_identities(args.max_m, args.max_n, args.max_k, args.trials, args.seed)
     result = _status(all(s.status != "FAIL" for s in sections))
     payload = {
-        "request": {"max_m": max_m, "max_N": max_n, "max_k": max_k, "trials": trials, "seed": seed},
+        "request": {"max_m": args.max_m, "max_N": args.max_n, "max_k": args.max_k,
+                    "trials": args.trials, "seed": args.seed},
         "report": {"sections": [s._asdict() for s in sections], "result": result},
     }
     rows = [["section", "status", "detail"], *sections, ["result", result, ""]]
-    _emit(out, fmt, payload, rows, _aligned(sections) + [f"result: {result}"])
+    _emit(out, args.format, payload, rows, _aligned(sections) + [f"result: {result}"])
     return EXIT_OK if result == "PASS" else EXIT_MISMATCH
 
 
@@ -431,29 +435,6 @@ def _one_of(choices: Sequence[str]):
     return check
 
 
-def _run_table(args, out: TextIO) -> int:
-    n_range, k_range = _parse_span(args.n_span), _parse_span(args.k_span)
-    s_values = [parse_rational(c.strip()) for c in args.s_list.split(",")] if args.s_list else None
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    request = TableRequest(args.norm, n_range, k_range, s_values, methods, args.format, args.seed,
-                           args.decimal, args.force_oracle)
-    return cmd_table(request, out)
-
-
-def _run_verify(args, out: TextIO) -> int:
-    if args.kind == "power" and args.s is None:
-        raise _UsageError("power kind needs --s")
-    if args.kind == "logarithm" and args.s is not None:
-        raise _UsageError("logarithm kind takes no --s")
-    kind = NormKind.power(parse_rational(args.s)) if args.kind == "power" else NormKind.logarithm()
-    points = None if args.points is None else _parse_points(args.points)
-    return cmd_verify(args.n, kind, args.k, points, args.seed, args.format, out, args.timing)
-
-
-def _run_identity_suite(args, out: TextIO) -> int:
-    return cmd_identities(args.max_m, args.max_n, args.max_k, args.trials, args.seed, args.format, out)
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="radnorm", description=__doc__)
     parser.add_argument("--version", action="version", version=f"radnorm {__version__}")
@@ -474,7 +455,7 @@ def _build_parser() -> argparse.ArgumentParser:
     t.add_argument("--force-oracle", action="store_true",
                    help=f"run the oracle even for k > {ORACLE_TABLE_MAX_K}")
     common(t)
-    t.set_defaults(run=_run_table)
+    t.set_defaults(run=cmd_table)
 
     v = sub.add_parser("verify", help="cross-check closed, recursive and oracle values")
     v.add_argument("--N", dest="n", type=_int, required=True)
@@ -484,7 +465,7 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--points", default=None, help="semicolon-separated rational vectors")
     v.add_argument("--timing", action="store_true", help="include total and per-stage times in the report")
     common(v)
-    v.set_defaults(run=_run_verify)
+    v.set_defaults(run=cmd_verify)
 
     i = sub.add_parser("identities", help="run the combinatorial identity suite")
     i.add_argument("--max-m", type=_int, default=10)
@@ -492,7 +473,7 @@ def _build_parser() -> argparse.ArgumentParser:
     i.add_argument("--max-k", type=_int, default=4)
     i.add_argument("--trials", type=_int, default=20)
     common(i)
-    i.set_defaults(run=_run_identity_suite)
+    i.set_defaults(run=cmd_identities)
     return parser
 
 

@@ -734,9 +734,10 @@ def default_sample_points(n: int, seed: int = 0) -> list[SamplePoint]:
 
     The fixed set is e_1, (1,...,1), (1,2,...,n) and, for n >= 2, (3,4,0,...);
     duplicates collapse (all four coincide at n = 1).  The two seeded points
-    have coordinates p/q with |p| <= 7, q <= 7.
+    have coordinates p/q with |p| <= 7, q <= 7.  The seed is an integer, so
+    the points never come from OS entropy (``seed=None``) or a hashed string.
     """
-    n = _as_int(n)
+    n, seed = _as_int(n), _as_int(seed)
     if n < 1:
         raise ValueError("dimension must be >= 1")
     fixed = _fixed_sample_points(n)

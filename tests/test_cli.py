@@ -26,7 +26,6 @@ from radnorm.cli import (
     MAX_TABLE_CELLS,
     TableRequest,
     _run_identities,
-    cmd_verify,
     main,
 )
 from radnorm.constants import FORMULAS, NormKind, gamma_closed
@@ -37,9 +36,11 @@ from radnorm.symdiff import (
     SamplePoint,
     default_sample_points,
     rescaled_grad_norms,
+    verify_constancy,
 )
 
 SRC = str(Path(radnorm.__file__).resolve().parents[1])
+PAST_DIGIT_LIMIT = "9" * (sys.get_int_max_str_digits() + 1)  # int() refuses this text
 
 
 def run(capsys, *argv):
@@ -164,21 +165,23 @@ def test_table_decimal_column(capsys):
 
 
 def test_table_request_validation():
+    # methods, format, seed, decimal, force_oracle as the parser's defaults give them
+    rest = (["closed"], "plain", 0, False, False)
     with pytest.raises(ValueError):
-        TableRequest("gamma", (2, 1), (0, 2), [Fraction(1)])
+        TableRequest("gamma", (2, 1), (0, 2), [Fraction(1)], *rest)
     with pytest.raises(ValueError):
-        TableRequest("gamma", (1, 2), (0, 2), None)
+        TableRequest("gamma", (1, 2), (0, 2), None, *rest)
     with pytest.raises(ValueError):
-        TableRequest("ell", (1, 2), (0, 2), None)
+        TableRequest("ell", (1, 2), (0, 2), None, *rest)
     with pytest.raises(ValueError):
-        TableRequest("ell", (1, 2), (1, 2), [Fraction(1)])
+        TableRequest("ell", (1, 2), (1, 2), [Fraction(1)], *rest)
     with pytest.raises(ValueError):
-        TableRequest("gamma", (1, 2), (1, 2), [Fraction(1)], methods=["magic"])
+        TableRequest("gamma", (1, 2), (1, 2), [Fraction(1)], ["magic"], *rest[1:])
     with pytest.raises(ValueError, match="^unknown norm 'delta'$"):
-        TableRequest("delta", (1, 2), (1, 2), [Fraction(1)])
+        TableRequest("delta", (1, 2), (1, 2), [Fraction(1)], *rest)
     with pytest.raises(ValueError, match="^unknown format 'xml'$"):
-        TableRequest("gamma", (1, 2), (1, 2), [Fraction(1)], fmt="xml")
-    request = TableRequest("gamma", (1, 2), (1, 2), [Fraction(1)], methods=["oracle", "closed"])
+        TableRequest("gamma", (1, 2), (1, 2), [Fraction(1)], ["closed"], "xml", *rest[2:])
+    request = TableRequest("gamma", (1, 2), (1, 2), [Fraction(1)], ["oracle", "closed"], *rest[1:])
     assert request.methods == ["closed", "oracle"]
 
 
@@ -308,6 +311,17 @@ def test_identities_skips_split_in_dimension_one(capsys):
     assert "dimension-split      SKIP" in out
 
 
+def test_identities_log_divergence_fails_when_the_divergence_is_nonzero(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "is_zero_function", lambda terms: False)
+    code, out, _ = run(capsys, "identities", "--max-m", "1", "--max-k", "1", "--trials", "1",
+                       "--format", "json")
+    assert code == EXIT_MISMATCH
+    report = json.loads(out)["report"]
+    sections = {s["name"]: s for s in report["sections"]}
+    assert sections["log-divergence"] == {"name": "log-divergence", "status": "FAIL", "detail": "nonzero"}
+    assert report["result"] == "FAIL"
+
+
 def test_identities_json(capsys):
     code, out, _ = run(
         capsys, "identities", "--max-m", "3", "--max-k", "2", "--trials", "3",
@@ -359,6 +373,8 @@ def test_usage_errors_exit_one(capsys):
         ("1_0", "radnorm: error: not a range: '1_0'\n"),
         ("1..\uff13", "radnorm: error: not a range: '1..\uff13'\n"),
         (" 2", "radnorm: error: not a range: ' 2'\n"),
+        pytest.param(f"1..{PAST_DIGIT_LIMIT}", f"radnorm: error: not a range: '1..{PAST_DIGIT_LIMIT}'\n",
+                     id="past-the-int-digit-limit"),
     ],
 )
 def test_a_malformed_range_is_one_usage_line(capsys, span, message):
@@ -367,7 +383,8 @@ def test_a_malformed_range_is_one_usage_line(capsys, span, message):
         assert (code, out, err) == (EXIT_USAGE, "", message)
 
 
-@pytest.mark.parametrize("value", ["\u0663", "\uff13", "1_0", " 2", "2.0", "0x2"])
+@pytest.mark.parametrize("value", ["\u0663", "\uff13", "1_0", " 2", "2.0", "0x2",
+                                   pytest.param(PAST_DIGIT_LIMIT, id="past-the-int-digit-limit")])
 @pytest.mark.parametrize("argv, option", [
     (["verify", "--kind", "logarithm", "--k", "2"], "--N"),
     (["verify", "--kind", "logarithm", "--N", "2"], "--k"),
@@ -411,10 +428,10 @@ def test_request_checks_are_one_usage_line(capsys, argv, message):
     assert (code, out, err) == (EXIT_USAGE, "", f"radnorm: error: {message}\n")
 
 
-def test_cmd_verify_rejects_an_empty_point_list():
-    # Only a missing list falls back to the default points.
+def test_verify_constancy_rejects_an_empty_point_list():
+    # --points cannot name no point, so this rule is the library's alone.
     with pytest.raises(ValueError, match="at least one sample point is required"):
-        cmd_verify(2, NormKind.logarithm(), 2, points=[])
+        verify_constancy(2, NormKind.logarithm(), 2, [])
 
 
 def test_default_identities_walk_once_per_split_shape(monkeypatch):

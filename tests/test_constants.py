@@ -381,6 +381,7 @@ def test_norm_kind_validation():
         lambda s: TermSum.single(2, 0, (1, 0), 0, 1).differentiate(s),
         lambda s: derivative(2, NormKind.power(3), (s,)),
         default_sample_points,
+        lambda s: default_sample_points(2, s),
     ],
     ids=[
         "gamma_closed", "gamma_1d", "gamma_recursive", "power_coeffs", "NormKind.power",
@@ -393,7 +394,7 @@ def test_norm_kind_validation():
         "gamma_even-m", "taylor_compose_norm_sq-dimension", "taylor_compose_norm_sq-order",
         "half_identity_check-m", "phi_deriv_at_zero-m", "phi_deriv_at_zero-k", "TermSum.build-n_vars",
         "TermSum.single-exponent", "TermSum.single-offset", "TermSum.differentiate-axis",
-        "derivative-axes", "default_sample_points-dimension",
+        "derivative-axes", "default_sample_points-dimension", "default_sample_points-seed",
     ],
 )
 @pytest.mark.parametrize("s", [0.1, 2.0, float("nan"), True, False], ids=repr)

@@ -11,7 +11,7 @@ from radnorm import constants, exactnum, symdiff
 README = Path(__file__).resolve().parent.parent / "README.md"
 SPANS = README.parent / "perfbench" / "spans.py"
 SRC = Path(radnorm.__file__).resolve().parent
-MAX_SETTABLE_VALUES = 22
+MAX_SETTABLE_VALUES = 11
 MAX_SRC_LINES = 1_900
 MEMO_CACHES = {"_fixed_sample_points"}
 FAMILY_BRANCHES = 13

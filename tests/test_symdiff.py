@@ -484,6 +484,8 @@ def test_default_sample_points_deterministic():
     assert len({p.coords for p in a}) == len(a)
     assert default_sample_points(3, seed=6) != a
     assert len(default_sample_points(1)) == 3
+    with pytest.raises(TypeError):  # None would seed from OS entropy
+        default_sample_points(3, seed=None)
 
 
 def test_capacity_caps():
