@@ -282,7 +282,7 @@ def _half_identity(suite: _Suite) -> tuple[str, str]:
 
 @_counted
 def _dimension_split(suite: _Suite):
-    """Last-axis splitting of the squared norm."""
+    """The oracle against the dimension recursion (the last-axis split)."""
     for n in range(2, suite.max_n + 1):
         points = _fixed_sample_points(n)[:3]  # e_1, (1,...,1), (1,...,n)
         for kind in _KINDS:
@@ -363,7 +363,7 @@ def _run_identities(
         raise CapacityError(f"--max-m {max_m} exceeds the cap of {MAX_IDENTITY_M}")
     if trials > MAX_IDENTITY_TRIALS:
         raise CapacityError(f"--trials {trials} exceeds the cap of {MAX_IDENTITY_TRIALS}")
-    if max_n >= 2:  # the dimension-split section walks and enumerates up to (max_n, max_k)
+    if max_n >= 2:  # the split section walks to (max_n, max_k); the n^k cap bounds the suite
         _check_scale(max_n, max_k)
         _check_tuples(max_n, max_k)
     suite = _Suite(max_m, max_n, max_k, trials, random.Random(seed))

@@ -39,7 +39,7 @@ from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
-from math import comb, lcm, prod
+from math import lcm, prod
 from operator import add, mul
 from typing import Iterable, Mapping, Sequence
 
@@ -76,9 +76,9 @@ __all__ = [
 # Exhaustive-enumeration caps; larger requests raise CapacityError.
 MAX_DIMENSION = 6
 MAX_ORDER = 10
-# The routes that list every ordered index tuple (the unweighted squared norm
-# and both sides of the split check) take n^k steps in Python: 10^5 tuples
-# cost about 0.1 s, while (6, 8) is 1.7 * 10^6 and (6, 10) 6 * 10^7.
+# The one route that lists every ordered index tuple (the unweighted squared
+# norm) takes n^k steps in Python: 10^5 tuples cost about 0.1 s, while (6, 8)
+# is 1.7 * 10^6 and (6, 10) 6 * 10^7.
 MAX_ORDERED_TUPLES = 100_000
 
 
@@ -419,21 +419,6 @@ def _walk(n: int, kind: NormKind, k: int, table: _MonomialTable):
                      iter(range(axis, n + 1))))
 
 
-def _leaf_values(
-    n: int, kind: NormKind, k: int, points: Sequence[SamplePoint]
-) -> tuple[dict[tuple[int, ...], list[int]], list[int]]:
-    """Every k-th partial at every point: the leaves of one ``_walk``.
-
-    With P = Q x integer over the common denominator Q and R = |P|^2,
-    homogeneity (|beta| - 2u = -k) gives D_combo u / r^s = Q^k S / (b R)^k
-    with S = sum c P^beta R^(k-u), and r^(2k) (D_combo u / r^s)^2 =
-    S^2 / (b^(2k) R^k).  Returns {combo: [S per point]} over the sorted
-    1-based multisets, and b^(2k) R^k per point.
-    """
-    table = _MonomialTable(n, kind, k, points)
-    return {combo: values for combo, _, values in _walk(n, kind, k, table)}, table.scales
-
-
 def _rescaled_sums(
     n: int, kind: NormKind, k: int, points: Sequence[SamplePoint],
     weights: Mapping[tuple[int, ...], int] | None = None,
@@ -588,47 +573,30 @@ def verify_constancy(
 
 
 def dimension_split_check(n: int, kind: NormKind, k: int, point: SamplePoint) -> bool:
-    """Check the last-axis splitting of the squared norm at one point:
+    """Check the oracle's rescaled norm at one point against the recursion.
+
+    Splitting the squared norm along the last axis,
 
         sum_{i in I_n^k} (D_i u)^2
-            = sum_j C(k,j) * sum_{i' in I_(n-1)^j} (D_i' D_n^(k-j) u)^2.
+            = sum_j C(k,j) * sum_{i' in I_(n-1)^j} (D_i' D_n^(k-j) u)^2,
 
-    Both sides are evaluated exactly; a correct implementation always
-    returns True.  Both enumerate ordered index tuples, so n^k may not
-    exceed MAX_ORDERED_TUPLES (CapacityError).
-
-    This is a counting identity: both sides weight each sorted multiset m
-    by k!/prod(m!), since C(k, j) times the (n-1)-multinomial of the first
-    j indices is the n-multinomial.  So it holds for any leaf values and
-    does not test the derivatives themselves.
+    makes the j = 2l group at a point of that axis the l-th term of the
+    recursion in the even-order constants E(n-1, l), and odd groups vanish.
+    Summed over j, that is ``gamma_recursive`` / ``ell_recursive``.  The walk's
+    value is the same at every point, so a wrong derivative or a wrong
+    recursion returns False.
     """
     (ok,) = _dimension_split_checks(n, kind, k, [point])
     return ok
 
 
 def _dimension_split_checks(n: int, kind: NormKind, k: int, points: Sequence[SamplePoint]) -> list[bool]:
-    """``dimension_split_check`` at every point, from one walk.
-
-    Like it, a counting identity: True for any leaf values the walk yields.
-    """
+    """``dimension_split_check`` at every point, from one walk."""
     _validate_norm_args(n, kind, k, points)
     if n < 2:
         raise ValueError("splitting needs dimension >= 2")
-    _check_tuples(n, k)
-
-    # All values at a point share the positive scale Q^k / (b R)^k: compare integer sums.
-    leaves, _ = _leaf_values(n, kind, k, points)
-    results = []
-    for i in range(len(points)):
-        squares = {combo: values[i] * values[i] for combo, values in leaves.items()}
-        lhs = sum(squares[tuple(sorted(tup))] for tup in product(range(1, n + 1), repeat=k))
-        rhs = sum(
-            comb(k, j) * sum(squares[tuple(sorted(tup)) + (n,) * (k - j)]
-                             for tup in product(range(1, n), repeat=j))
-            for j in range(k + 1)
-        )
-        results.append(lhs == rhs)
-    return results
+    recursive = FORMULAS["recursive"](n, kind, k)
+    return [value == recursive for value in _rescaled_sums(n, kind, k, points)]
 
 
 def laplacian_recursion_check(n: int, k: int) -> bool:

@@ -112,6 +112,10 @@ def _fail_at_k1(real):
     return lambda n, k: k != 1 and real(n, k)
 
 
+def _shift_dimension(real):
+    return lambda n, k: real(n + 1, k)
+
+
 # fault name -> (dotted name replaced while the command runs, wrapper of the real object)
 FAULTS = {
     "oracle-off-by-one": ("radnorm.symdiff.rescaled_grad_norms", _bump_all),
@@ -119,6 +123,8 @@ FAULTS = {
     "table-oracle-uneven": ("radnorm.cli.rescaled_grad_norms", _bump_last),
     "half-identity-fails-at-m2": ("radnorm.cli.half_identity_check", _fail_at_m2),
     "laplacian-recursion-fails-at-k1": ("radnorm.cli.laplacian_recursion_check", _fail_at_k1),
+    # the recursion reads E(n, l) in place of E(n - 1, l)
+    "dimension-split-recursion-shifted": ("radnorm.constants._evens", _shift_dimension),
 }
 
 FAULT_COMMANDS = [
@@ -144,6 +150,9 @@ FAULT_COMMANDS = [
     # a counted section failing (exit 2)
     ("laplacian-recursion-fails-at-k1", ["identities", "--max-m", "2", "--max-k", "2",
                                          "--trials", "1"]),
+    # the dimension-split section failing at k = 2 (exit 2)
+    ("dimension-split-recursion-shifted", ["identities", "--max-m", "2", "--max-k", "2",
+                                           "--trials", "1"]),
 ]
 
 

@@ -12,14 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from radnorm import symdiff
+from radnorm import constants, symdiff
+from radnorm.cli import _KINDS
 from radnorm.constants import NormKind, ell_closed, gamma_closed
 from radnorm.symdiff import (
     MAX_ORDERED_TUPLES,
     CapacityError,
     SamplePoint,
     _dimension_split_checks,
-    _leaf_values,
+    _fixed_sample_points,
     _MonomialTable,
     _multiset_weights,
     _rescaled_sums,
@@ -63,8 +64,22 @@ def termsum_leaves(n, kind, k, point):
     }
 
 
+def leaf_values(n, kind, k, points):
+    """Every k-th partial at every point, the leaves of one ``_walk``:
+    {combo: [S per point]} over the sorted 1-based multisets, and
+    b^(2k) R^k per point.
+
+    With P = Q x integer over the common denominator Q and R = |P|^2,
+    homogeneity (|beta| - 2u = -k) gives D_combo u / r^s = Q^k S / (b R)^k
+    with S = sum c P^beta R^(k-u), and r^(2k) (D_combo u / r^s)^2 =
+    S^2 / (b^(2k) R^k).
+    """
+    table = _MonomialTable(n, kind, k, points)
+    return {combo: values for combo, _, values in _walk(n, kind, k, table)}, table.scales
+
+
 def walk_leaves(n, kind, k, point):
-    leaves, _ = _leaf_values(n, kind, k, [point])
+    leaves, _ = leaf_values(n, kind, k, [point])
     return {combo: value for combo, (value,) in leaves.items()}
 
 
@@ -73,7 +88,7 @@ def walk_leaves(n, kind, k, point):
 def test_every_leaf_matches_termsum_route(n, kind):
     points = [SamplePoint(coords[:n]) for coords in POINTS]
     for k in range(0 if kind.is_power else 1, 6):
-        leaves, scales = _leaf_values(n, kind, k, points)
+        leaves, scales = leaf_values(n, kind, k, points)
         for i, point in enumerate(points):
             expected = termsum_leaves(n, kind, k, point)
             assert {combo: values[i] for combo, values in leaves.items()} == expected
@@ -110,8 +125,8 @@ def closed_form(kind, n, k):
 
 
 def folded_leaves(n, kind, k, points):
-    """r^(2k) |D^k u / r^s|^2 per point, folded from ``_leaf_values``."""
-    leaves, scales = _leaf_values(n, kind, k, points)
+    """r^(2k) |D^k u / r^s|^2 per point, folded from ``leaf_values``."""
+    leaves, scales = leaf_values(n, kind, k, points)
     weights = _multiset_weights(n, k)
     return [
         Fraction(sum(weights[combo] * values[i] ** 2 for combo, values in leaves.items()), scale)
@@ -190,13 +205,41 @@ def test_multi_point_split_check_matches_single_points():
                 assert all(checks)
 
 
+def split_section_checks(k):
+    """The identities section's split checks at order k: n = 2..3, its three
+    kinds and the first three fixed points."""
+    return [check for n in (2, 3) for kind in _KINDS
+            for check in _dimension_split_checks(n, kind, k, _fixed_sample_points(n)[:3])]
+
+
+def test_split_check_fails_on_a_wrong_leaf_or_a_wrong_recursion(monkeypatch):
+    real_walk, real_evens = symdiff._walk, constants._evens
+
+    def shifted_leaves(*args):
+        # S -> S + d with d = 2|S| + 1 adds w d (2S + d) > 0 to every term, so
+        # no sum is left unchanged (a shift shared by all leaves may cancel).
+        for combo, weight, values in real_walk(*args):
+            yield combo, weight, [value + 2 * abs(value) + 1 for value in values]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(symdiff, "_walk", shifted_leaves)
+        for k in range(1, 5):
+            assert not any(split_section_checks(k)), k
+    # E(n, l) in place of E(n - 1, l); order 1 reads only E(., 0) = 1.
+    with monkeypatch.context() as patch:
+        patch.setattr(constants, "_evens", lambda n, k: real_evens(n + 1, k))
+        assert all(split_section_checks(1))
+        for k in range(2, 5):
+            assert not all(split_section_checks(k)), k
+
+
 def test_a_walk_retains_nothing():
     points = [SamplePoint(coords) for coords in POINTS[:2]]
     kind = NormKind.power(Fraction(-7, 3))
     calls = [
         lambda: rescaled_grad_norms(4, kind, 6, points),
         lambda: rescaled_grad_norms(4, LOG, 5, points, weighted=False),
-        lambda: _leaf_values(4, kind, 6, points),
+        lambda: leaf_values(4, kind, 6, points),
     ]
     tracemalloc.start()
     try:
@@ -262,11 +305,14 @@ def test_ordered_tuple_routes_raise_before_enumerating():
     for call in (
         lambda: grad_norm_sq(6, LOG, 8, point6, weighted=False, rescaled=True),
         lambda: rescaled_grad_norms(6, LOG, 8, [point6, point6], weighted=False),
-        lambda: dimension_split_check(5, LOG, 10, point5),
-        lambda: _dimension_split_checks(5, NormKind.power(Fraction(1, 2)), 10, [point5]),
     ):
         with pytest.raises(CapacityError, match="ordered index tuples"):
             call()
+    # The split check walks the sorted multisets and lists no ordered tuple,
+    # so it runs past the tuple cap, up to the box.
+    assert dimension_split_check(5, LOG, 10, point5)
+    points6 = _fixed_sample_points(6)[:3]
+    assert _dimension_split_checks(6, NormKind.power(Fraction(1, 2)), 10, points6) == [True] * 3
     assert time.perf_counter() - start < 1.0
     # 4^8 tuples are inside the cap; the weighted walk is not capped by n^k
     assert 4 ** 8 <= MAX_ORDERED_TUPLES < 6 ** 8

@@ -16,6 +16,7 @@ MAX_SRC_LINES = 1_900
 MEMO_CACHES = {"_fixed_sample_points"}
 FAMILY_BRANCHES = 13
 BOOL_CHECKS = 2
+ORDERED_TUPLE_ENUMERATIONS = 1
 
 EXPORTS = {
     "__version__",
@@ -158,6 +159,26 @@ def test_no_bool_check_is_added_unnoticed():
     assert len(found) == BOOL_CHECKS, found
     source = "isinstance(a, bool) or isinstance(b, (int, bool))\nisinstance(c, int)\nbool(d)\nf(e, bool)\n"
     assert list(_bool_checks(ast.parse(source))) == [1, 1]
+
+
+def _ordered_tuple_enumerations(tree):
+    # Each product(..., repeat=...) call: a listing of all n^k ordered index tuples.
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and any(kw.arg == "repeat" for kw in node.keywords):
+            name = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", "")
+            if name == "product":
+                yield node.lineno
+
+
+def test_no_ordered_tuple_enumeration_is_added_unnoticed():
+    # The weighted walk visits each sorted multiset once; only the unweighted
+    # norm lists n^k ordered tuples, under MAX_ORDERED_TUPLES.  Another such
+    # listing is a deliberate change.
+    found = [f"{path.stem}:{line}" for path in sorted(SRC.glob("*.py"))
+             for line in _ordered_tuple_enumerations(ast.parse(path.read_text(encoding="utf-8")))]
+    assert len(found) == ORDERED_TUPLE_ENUMERATIONS, found
+    source = "product(a, repeat=k)\nitertools.product(b, repeat=2)\nproduct(c, d)\nf(e, repeat=3)\n"
+    assert list(_ordered_tuple_enumerations(ast.parse(source))) == [1, 2]
 
 
 def test_the_benchmark_tracer_finds_every_function_it_wraps():
