@@ -66,62 +66,6 @@ class _UsageError(ValueError):
     pass
 
 
-class TableRequest:
-    def __init__(
-        self,
-        norm: str,
-        n_range: tuple[int, int],
-        k_range: tuple[int, int],
-        s_values: list[Fraction] | None,
-        methods: Sequence[str],
-        fmt: str,
-        seed: int,
-        decimal: bool,
-        force_oracle: bool,
-    ):
-        if norm not in NORMS:
-            raise _UsageError(f"unknown norm {norm!r}")
-        for lo, hi in (n_range, k_range):
-            if lo > hi:
-                raise _UsageError("empty range")
-        if n_range[0] < 1:
-            raise _UsageError("dimension range must start at 1 or above")
-        if k_range[0] < 0:
-            raise _UsageError("order range must start at 0 or above")
-        if norm == "ell" and k_range[0] < 1:
-            raise _UsageError("ell tables need k >= 1")
-        if norm == "gamma" and not s_values:
-            raise _UsageError("gamma tables need at least one s value")
-        if norm == "ell" and s_values:
-            raise _UsageError("ell tables take no s values")
-        if fmt not in FORMATS:
-            raise _UsageError(f"unknown format {fmt!r}")
-        bad = [m for m in methods if m not in METHODS]
-        if bad:
-            raise _UsageError(f"unknown methods: {', '.join(bad)}")
-        if not methods:
-            raise _UsageError("at least one method is required")
-        self.norm, self.n_range, self.k_range, self.s_values = norm, n_range, k_range, s_values
-        self.kinds = [NormKind.power(s) for s in s_values] if norm == "gamma" else [NormKind.logarithm()]
-        self.methods = [m for m in METHODS if m in methods]
-        self.fmt, self.seed, self.decimal, self.force_oracle = fmt, seed, decimal, force_oracle
-        if k_range[1] > MAX_FORMULA_ORDER:
-            raise CapacityError(f"order k={k_range[1]} exceeds the table cap of {MAX_FORMULA_ORDER}")
-        cells = len(self.methods) * len(self.kinds)
-        cells *= (n_range[1] - n_range[0] + 1) * (k_range[1] - k_range[0] + 1)
-        if cells > MAX_TABLE_CELLS:
-            raise CapacityError(f"{cells} table cells exceed the cap of {MAX_TABLE_CELLS}")
-        # The oracle box, at the first cell in row order whose oracle would run
-        # outside it: the error that cell would raise, before any row is computed.
-        for n in range(n_range[0], n_range[1] + 1):
-            for k in range(k_range[0], k_range[1] + 1):
-                if self._oracle_runs_at(k):
-                    _check_scale(n, k)
-
-    def _oracle_runs_at(self, k: int) -> bool:
-        return "oracle" in self.methods and (k <= ORACLE_TABLE_MAX_K or self.force_oracle)
-
-
 class _OracleMismatch(Exception):
     pass
 
@@ -149,53 +93,80 @@ def _decimal_str(value: Fraction) -> str:
         return str(Decimal(value.numerator) / Decimal(value.denominator))
 
 
-def _oracle_constant(n: int, kind: NormKind, k: int, seed: int) -> Fraction:
-    values = rescaled_grad_norms(n, kind, k, default_sample_points(n, seed))
+def _table_cell(method: str, n: int, k: int, kind: NormKind, oracle_seed: int | None):
+    if method in FORMULAS:
+        return FORMULAS[method](n, kind, k)
+    if oracle_seed is None:
+        return None
+    values = rescaled_grad_norms(n, kind, k, default_sample_points(n, oracle_seed))
     if len(set(values)) > 1:
         raise _OracleMismatch(f"oracle values differ across sample points for n={n}, k={k}, {kind}")
     return values[0]
 
 
-def _table_cell(request: TableRequest, method: str, n: int, k: int, kind: NormKind):
-    if method in FORMULAS:
-        return FORMULAS[method](n, kind, k)
-    if not request._oracle_runs_at(k):
-        return None
-    return _oracle_constant(n, kind, k, request.seed)
-
-
 def cmd_table(args, out: TextIO) -> int:
     """Render one row per (N, k[, s]) with one column per requested method."""
-    n_range, k_range = _parse_span(args.n_span), _parse_span(args.k_span)
-    s_values = [parse_rational(c.strip()) for c in args.s_list.split(",")] if args.s_list else None
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    request = TableRequest(args.norm, n_range, k_range, s_values, methods, args.format, args.seed,
-                           args.decimal, args.force_oracle)
-    columns = ["N", "k", "s", *request.methods] + (["decimal"] if request.decimal else [])
+    (n_lo, n_hi), (k_lo, k_hi) = _parse_span(args.n_span), _parse_span(args.k_span)
+    s_values = [parse_rational(c.strip()) for c in args.s_list.split(",")] if args.s_list else []
+    requested = [m.strip() for m in args.methods.split(",") if m.strip()]
+    if n_lo > n_hi or k_lo > k_hi:
+        raise _UsageError("empty range")
+    if n_lo < 1:
+        raise _UsageError("dimension range must start at 1 or above")
+    if k_lo < 0:
+        raise _UsageError("order range must start at 0 or above")
+    if args.norm == "ell" and k_lo < 1:
+        raise _UsageError("ell tables need k >= 1")
+    if args.norm == "gamma" and not s_values:
+        raise _UsageError("gamma tables need at least one s value")
+    if args.norm == "ell" and s_values:
+        raise _UsageError("ell tables take no s values")
+    bad = [m for m in requested if m not in METHODS]
+    if bad:
+        raise _UsageError(f"unknown methods: {', '.join(bad)}")
+    if not requested:
+        raise _UsageError("at least one method is required")
+    methods = [m for m in METHODS if m in requested]
+    kinds = [NormKind.power(s) for s in s_values] if args.norm == "gamma" else [NormKind.logarithm()]
+    ns, ks = range(n_lo, n_hi + 1), range(k_lo, k_hi + 1)
+    if k_hi > MAX_FORMULA_ORDER:
+        raise CapacityError(f"order k={k_hi} exceeds the table cap of {MAX_FORMULA_ORDER}")
+    cells = len(methods) * len(kinds) * (n_hi - n_lo + 1) * (k_hi - k_lo + 1)
+    if cells > MAX_TABLE_CELLS:
+        raise CapacityError(f"{cells} table cells exceed the cap of {MAX_TABLE_CELLS}")
+    # The orders whose oracle cell runs.  Every oracle cell is checked against
+    # the box before any row is computed, in row order, so the error names the
+    # first cell that would raise it.
+    oracle_ks = [k for k in ks if "oracle" in methods and (k <= ORACLE_TABLE_MAX_K or args.force_oracle)]
+    for n in ns:
+        for k in oracle_ks:
+            _check_scale(n, k)
+    columns = ["N", "k", "s", *methods] + (["decimal"] if args.decimal else [])
     rows = []  # cell texts, "" where a cell is blank
-    for n in range(request.n_range[0], request.n_range[1] + 1):
-        for k in range(request.k_range[0], request.k_range[1] + 1):
-            for kind in request.kinds:
-                values = [_table_cell(request, m, n, k, kind) for m in request.methods]
+    for n in ns:
+        for k in ks:
+            oracle_seed = args.seed if k in oracle_ks else None
+            for kind in kinds:
+                values = [_table_cell(m, n, k, kind, oracle_seed) for m in methods]
                 texts = ["" if v is None else format_rational(v) for v in [kind.s, *values]]
-                if request.decimal:
+                if args.decimal:
                     first = next((v for v in values if v is not None), None)
                     texts.append("" if first is None else _decimal_str(first))
                 rows.append([str(n), str(k), *texts])
     payload = {
         "request": {
-            "norm": request.norm,
-            "N_range": list(request.n_range),
-            "k_range": list(request.k_range),
-            "s_values": [format_rational(s) for s in request.s_values or []],
-            "methods": list(request.methods),
-            "seed": request.seed,
+            "norm": args.norm,
+            "N_range": [n_lo, n_hi],
+            "k_range": [k_lo, k_hi],
+            "s_values": [format_rational(s) for s in s_values],
+            "methods": methods,
+            "seed": args.seed,
         },
         "rows": [{"N": int(n), "k": int(k), **{c: t or None for c, t in zip(columns[2:], texts)}}
                  for n, k, *texts in rows],
     }
     plain = _aligned([columns] + [[t or "-" for t in row] for row in rows])
-    _emit(out, request.fmt, payload, [columns, *rows], plain)
+    _emit(out, args.format, payload, [columns, *rows], plain)
     return EXIT_OK
 
 
@@ -363,7 +334,10 @@ def _run_identities(
         raise CapacityError(f"--max-m {max_m} exceeds the cap of {MAX_IDENTITY_M}")
     if trials > MAX_IDENTITY_TRIALS:
         raise CapacityError(f"--trials {trials} exceeds the cap of {MAX_IDENTITY_TRIALS}")
-    if max_n >= 2:  # the split section walks to (max_n, max_k); the n^k cap bounds the suite
+    if max_n >= 2:
+        # The split section walks to (max_n, max_k), so that shape must be in the
+        # oracle box.  The suite lists no ordered tuples; the n^k bound is kept
+        # only so that it accepts what it accepted before.
         _check_scale(max_n, max_k)
         _check_tuples(max_n, max_k)
     suite = _Suite(max_m, max_n, max_k, trials, random.Random(seed))

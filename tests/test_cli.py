@@ -24,7 +24,6 @@ from radnorm.cli import (
     MAX_IDENTITY_M,
     MAX_IDENTITY_TRIALS,
     MAX_TABLE_CELLS,
-    TableRequest,
     _run_identities,
     main,
 )
@@ -164,25 +163,57 @@ def test_table_decimal_column(capsys):
     assert out.strip().splitlines()[1] == "1,2,1/2,1/16,0.0625"
 
 
-def test_table_request_validation():
-    # methods, format, seed, decimal, force_oracle as the parser's defaults give them
-    rest = (["closed"], "plain", 0, False, False)
-    with pytest.raises(ValueError):
-        TableRequest("gamma", (2, 1), (0, 2), [Fraction(1)], *rest)
-    with pytest.raises(ValueError):
-        TableRequest("gamma", (1, 2), (0, 2), None, *rest)
-    with pytest.raises(ValueError):
-        TableRequest("ell", (1, 2), (0, 2), None, *rest)
-    with pytest.raises(ValueError):
-        TableRequest("ell", (1, 2), (1, 2), [Fraction(1)], *rest)
-    with pytest.raises(ValueError):
-        TableRequest("gamma", (1, 2), (1, 2), [Fraction(1)], ["magic"], *rest[1:])
-    with pytest.raises(ValueError, match="^unknown norm 'delta'$"):
-        TableRequest("delta", (1, 2), (1, 2), [Fraction(1)], *rest)
-    with pytest.raises(ValueError, match="^unknown format 'xml'$"):
-        TableRequest("gamma", (1, 2), (1, 2), [Fraction(1)], ["closed"], "xml", *rest[2:])
-    request = TableRequest("gamma", (1, 2), (1, 2), [Fraction(1)], ["oracle", "closed"], *rest[1:])
-    assert request.methods == ["closed", "oracle"]
+@pytest.mark.parametrize("argv, message", [
+    (["--norm", "gamma", "--N", "2..1", "--k", "0..2", "--s", "1"], "empty range"),
+    (["--norm", "gamma", "--N", "1..2", "--k", "2..0", "--s", "1"], "empty range"),
+    (["--norm", "gamma", "--N", "0..2", "--k", "0..2", "--s", "1"],
+     "dimension range must start at 1 or above"),
+    (["--norm", "gamma", "--N", "1..2", "--k=-1..2", "--s", "1"],
+     "order range must start at 0 or above"),
+    (["--norm", "gamma", "--N", "1..2", "--k", "0..2"], "gamma tables need at least one s value"),
+    (["--norm", "ell", "--N", "1..2", "--k", "0..2"], "ell tables need k >= 1"),
+    (["--norm", "ell", "--N", "1..2", "--k", "1..2", "--s", "1"], "ell tables take no s values"),
+    (["--norm", "gamma", "--N", "1..2", "--k", "1..2", "--s", "1", "--methods", "magic,closed,x"],
+     "unknown methods: magic, x"),
+    (["--norm", "gamma", "--N", "1..2", "--k", "1..2", "--s", "1", "--methods", " , "],
+     "at least one method is required"),
+    # a request that breaks several rules hears of the first, and usage comes before capacity
+    (["--norm", "ell", "--N", "0..2", "--k", "0..2", "--s", "1", "--methods", "magic"],
+     "dimension range must start at 1 or above"),
+    (["--norm", "ell", "--N", "1..2", "--k", "0..2", "--s", "1"], "ell tables need k >= 1"),
+    (["--norm", "ell", "--N", "1..99", "--k", "1..999", "--methods", ""],
+     "at least one method is required"),
+], ids=lambda value: " ".join(value) if isinstance(value, list) else None)
+def test_each_table_rule_is_one_error_line(capsys, argv, message):
+    code, out, err = run(capsys, "table", *argv)
+    assert (code, out, err) == (EXIT_USAGE, "", f"radnorm: error: {message}\n")
+
+
+@pytest.mark.parametrize("option, value, choices", [
+    ("--norm", "delta", "'gamma', 'ell'"),
+    ("--format", "xml", "'json', 'csv', 'plain'"),
+])
+def test_a_table_value_outside_its_choices_is_an_argparse_usage_error(capsys, option, value, choices):
+    argv = {"--norm": "gamma", "--N": "1..2", "--k": "1..2", "--s": "1", option: value}
+    code, out, err = run(capsys, "table", *(text for pair in argv.items() for text in pair))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("usage: radnorm table ")
+    assert err.endswith(f"radnorm table: error: argument {option}: invalid choice: {value!r} "
+                        f"(choose from {choices})\n")
+
+
+def test_table_columns_follow_the_method_registry(capsys):
+    code, out, _ = run(capsys, "table", "--norm", "gamma", "--N", "1", "--k", "1", "--s", "1",
+                       "--methods", "oracle,closed", "--format", "csv")
+    assert code == EXIT_OK
+    assert out.splitlines()[0] == "N,k,s,closed,oracle"
+
+
+def test_a_table_range_past_the_machine_word_is_a_capacity_error(capsys):
+    n_hi = 10**30  # len(range(1, n_hi + 1)) would raise OverflowError
+    code, out, err = run(capsys, "table", "--norm", "gamma", "--N", f"1..{n_hi}", "--k", "1", "--s", "1")
+    assert (code, out) == (EXIT_CAPACITY, "")
+    assert err == f"radnorm: capacity exceeded: {n_hi} table cells exceed the cap of {MAX_TABLE_CELLS}\n"
 
 
 @pytest.mark.parametrize("norm", ["gamma", "ell"])

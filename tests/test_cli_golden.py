@@ -89,6 +89,9 @@ COMMANDS = [
     # capacity (exit 3)
     ["verify", "--N", "7", "--kind", "logarithm", "--k", "2"],
     ["verify", "--N", "2", "--kind", "power", "--s", "1/2", "--k", "11", "--format", "json"],
+    # table rules that no entry above reaches (exit 1)
+    ["table", "--norm", "ell", "--N", "1..2", "--k", "1..2", "--s", "1"],
+    ["table", "--norm", "gamma", "--N", "2..1", "--k", "0..2", "--s", "1"],
 ]
 
 

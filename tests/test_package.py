@@ -16,6 +16,7 @@ MAX_SRC_LINES = 1_900
 MEMO_CACHES = {"_fixed_sample_points"}
 FAMILY_BRANCHES = 13
 BOOL_CHECKS = 2
+ARGPARSE_CHOICE_RECHECKS = 0
 ORDERED_TUPLE_ENUMERATIONS = 1
 
 EXPORTS = {
@@ -159,6 +160,28 @@ def test_no_bool_check_is_added_unnoticed():
     assert len(found) == BOOL_CHECKS, found
     source = "isinstance(a, bool) or isinstance(b, (int, bool))\nisinstance(c, int)\nbool(d)\nf(e, bool)\n"
     assert list(_bool_checks(ast.parse(source))) == [1, 1]
+
+
+def _argparse_choice_rechecks(tree):
+    # Each ``in`` / ``not in`` test against a tuple that an option passes to
+    # ``_one_of``: a second check of a value argparse has already accepted.
+    choices = {node.args[0].id for node in ast.walk(tree)
+               if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_one_of"
+               and node.args and isinstance(node.args[0], ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            for op, right in zip(node.ops, node.comparators):
+                if isinstance(op, (ast.In, ast.NotIn)) and getattr(right, "id", None) in choices:
+                    yield node.lineno
+
+
+def test_no_argparse_choice_is_checked_again():
+    # The parser rejects a value outside an option's choices with its usage
+    # line and exit 1, so no command sees one; a re-check is code no input reaches.
+    found = list(_argparse_choice_rechecks(ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))))
+    assert len(found) == ARGPARSE_CHOICE_RECHECKS, found
+    source = "p(type=_one_of(A))\n_one_of(B)\nx in A or y not in B\nz in C\nw == A\nv in (A,)\n"
+    assert list(_argparse_choice_rechecks(ast.parse(source))) == [3, 3]
 
 
 def _ordered_tuple_enumerations(tree):
