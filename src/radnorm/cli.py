@@ -52,10 +52,11 @@ NORMS = ("gamma", "ell")
 VARIANTS = ("power", "logarithm")  # NormKind.variant
 ORACLE_TABLE_MAX_K = 5  # above this, table rows skip the oracle unless forced
 
-# Capacity caps on command-line requests, checked before any work (exit 3);
-# the library functions take any size.  Costs: wall time on a shared 2-vCPU Xeon,
-# Python 3.11.7, low-high of 2-3 runs of one in-process call or of one `radnorm`
-# process with stdout discarded.  The caps bound order and cells, not their product.
+# Capacity caps on command-line requests, checked before any work (exit 3).  The
+# library's formula routes take any size; its oracle raises CapacityError past
+# MAX_DIMENSION, MAX_ORDER and MAX_ORDERED_TUPLES.  Costs: wall time on a shared
+# 2-vCPU Xeon, Python 3.11.7, low-high of 2-3 runs of one in-process call or of one
+# `radnorm` process with stdout discarded.  The caps bound order and cells, not their product.
 MAX_FORMULA_ORDER = 400  # table order: at k = 400 a closed cell takes 0.07-0.12 s, a recursive 0.02-0.05 s
 MAX_TABLE_CELLS = 10_000  # table rows x methods: a 10,000-cell process at k <= 50 takes 0.9-1.4 s
 MAX_IDENTITY_M = 100  # identities --max-m: one nu over m <= 100 takes 10-20 ms (200: 0.09-0.2 s)
@@ -215,7 +216,7 @@ def cmd_verify(args, out: TextIO) -> int:
     return EXIT_OK if report.exact_match else EXIT_MISMATCH
 
 
-class IdentitySection(namedtuple("IdentitySection", "name status detail", defaults=("",))):
+class IdentitySection(namedtuple("IdentitySection", "name status detail")):
     """One section of the identity suite; status is PASS, FAIL or SKIP."""
 
     __slots__ = ()

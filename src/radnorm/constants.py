@@ -201,7 +201,7 @@ def _closed_kernel(n: int, k: int, nums: list[int], den: int) -> Rational:
     return Fraction(factorial(k) * total, den * den << half)
 
 
-def _recursive_kernel(n: int, k: int, nums: list[int], den: int, evens: list[int]) -> Rational:
+def _recursive_kernel(k: int, nums: list[int], den: int, evens: list[int]) -> Rational:
     # k! sum_l (k-2l)!/(2l)! (sum_p d_p C(k-p,l))^2 E(n-1, l)
     # with d_p = 2^(2p-k) c_p C(p,k-p), c_p = nums[p - ceil(k/2)] / den, and
     # E(n-1, l) = evens[l], an int.  d_p does not depend on l: one comb per p,
@@ -304,7 +304,7 @@ def taylor_compose_norm_sq(n: int, k: int, coeffs: Callable[[int], Rational]) ->
     with ``log_coeffs()`` the logarithm constant.
     """
     n, k, _ = ConstantQuery(n, k, NormKind.power(_ZERO))
-    return _recursive_kernel(n, k, *_profile_terms(coeffs, k), _evens(n - 1, k))
+    return _recursive_kernel(k, *_profile_terms(coeffs, k), _evens(n - 1, k))
 
 
 def gamma_recursive(n: int, s, k: int) -> Rational:
@@ -314,13 +314,13 @@ def gamma_recursive(n: int, s, k: int) -> Rational:
     ``gamma_even``.
     """
     n, k, kind = ConstantQuery(n, k, NormKind.power(s))
-    return _recursive_kernel(n, k, *_terms(kind, k), _evens(n - 1, k))
+    return _recursive_kernel(k, *_terms(kind, k), _evens(n - 1, k))
 
 
 def ell_recursive(n: int, k: int) -> Rational:
     """Logarithm constant by dimension recursion; agrees exactly with ell_closed."""
     n, k, kind = ConstantQuery(n, k, NormKind.logarithm())
-    return _recursive_kernel(n, k, *_terms(kind, k), _evens(n - 1, k))
+    return _recursive_kernel(k, *_terms(kind, k), _evens(n - 1, k))
 
 
 def _half_identity_sides(nu: Rational, m: int) -> tuple[int, int]:

@@ -22,19 +22,20 @@ and the reduction below) lists ((monomial, offset), coeff) parts and hands
 them to one merge, ``TermSum._merged``, which adds equal keys, drops zeros
 and sorts.  ``functions_equal`` reduces both sides by
 x_n^2 = r^2 - sum_{i<n} x_i^2 to a normal form that is unique.  The
-pointwise norms apply the same rule in integers (``_walk``): one depth-first
-walk differentiates each sorted axis multiset from its prefix, keys each
-term x^beta r^(-2u) by the single integer sum beta_i B^i + u B^n with
-B = k + 1, holds only the current path and carries the multinomial weight
-down it.  Each leaf is evaluated at all points at once from a monomial
-table that lives for the call, and the norms add weight * S^2 into
-per-point totals as the leaves stream by, so no leaf is stored.
+pointwise norms apply the same rule in integers (``_walk``): one walk takes
+the sorted axis multisets in lexicographic order and differentiates each
+from its prefix on a stack of the current multiset's prefixes, with the
+multinomial weight; a term x^beta r^(-2u) is keyed by the single integer
+sum beta_i B^i + u B^n with B = k + 1.  Each leaf is evaluated at all
+points at once from a monomial table that lives for the call, and the norms
+add weight * S^2 into per-point totals as they stream by, so none is stored.
 """
 
 from __future__ import annotations
 
 import random
 import time
+from bisect import bisect_left
 from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
@@ -373,16 +374,19 @@ def _step(
 
 def _walk(n: int, kind: NormKind, k: int, table: _MonomialTable):
     """Yield (combo, k!/prod(multiplicities!), [S per point]) for every
-    sorted multiset of k axes in 1..n, from one depth-first walk.
+    sorted multiset of k axes in 1..n, in lexicographic order, from one walk.
 
     A node holds {key: c} for sum c x^beta r^(s - 2u) / b^depth with
     s = a/b and key = sum beta_i B^i + u B^n, B = k + 1: no exponent and
     no u exceeds the depth, so every digit fits.  Both families start at
     the root {0: 1}: log|x| is r^s / s at s = 0 (a = 0, b = 1), whose first
-    step gives x_i r^-2.  A child is its parent differentiated along an
-    axis >= the parent's last, so only the current path is held, and the
-    multinomial weight grows along it by (depth + 1) / (multiplicity of the
-    new axis).  Each leaf is S = sum c P^beta R^(k-u) at every point of ``table``.
+    step gives x_i r^-2.  The combos come from ``combinations_with_replacement``;
+    nodes[d] holds the node and weight after combo[:d], and node d + 1 is node d
+    differentiated along combo[d], its weight times (d + 1) / (the multiplicity
+    of combo[d] in combo[:d + 1]).  The next combo first differs at the last
+    axis below n, so only the nodes past it are rebuilt and each prefix is
+    differentiated once.  Each leaf is S = sum c P^beta R^(k-u) at every point
+    of ``table``.
     """
     a, b = kind.radial_base.as_integer_ratio()
     base, top = table.base, table.top
@@ -399,24 +403,16 @@ def _walk(n: int, kind: NormKind, k: int, table: _MonomialTable):
         coeffs = terms.values()
         return [sum(map(mul, coeffs, column)) for column in zip(*map(table.__getitem__, terms))]
 
-    # The path from the root: each node's terms, combo, weight, trailing
-    # multiplicity and the axes its children have left to take.
-    path = [({0: 1}, (), 1, 0, iter(range(1, n + 1)))]
-    while path:
-        terms, combo, weight, run, axes = path[-1]
-        depth = len(combo)
-        if depth == k:
-            path.pop()
-            yield combo, weight, leaf(terms)
-            continue
-        axis = next(axes, 0)
-        if not axis:
-            path.pop()
-            continue
-        count = run + 1 if combo and axis == combo[-1] else 1
-        child = _step(terms, places[axis - 1], base, top, down_factors, up_factors)
-        path.append((child, combo + (axis,), weight * (depth + 1) // count, count,
-                     iter(range(axis, n + 1))))
+    nodes, depth = [({0: 1}, 1)], 0
+    for combo in combinations_with_replacement(range(1, n + 1), k):
+        del nodes[depth + 1:]
+        for d in range(depth, k):
+            terms, weight = nodes[d]
+            axis = combo[d]
+            nodes.append((_step(terms, places[axis - 1], base, top, down_factors, up_factors),
+                          weight * (d + 1) // (d + 1 - combo.index(axis))))
+        yield combo, nodes[k][1], leaf(nodes[k][0])
+        depth = bisect_left(combo, n) - 1
 
 
 def _rescaled_sums(
@@ -450,10 +446,10 @@ def grad_norm_sq(
 ) -> Rational:
     """Sum of squares of all n^k mixed k-th partials, evaluated at the point.
 
-    ``weighted=True`` (the default) enumerates only nondecreasing index
-    tuples with the multinomial weight k!/prod(multiplicities!);
-    ``weighted=False`` walks all n^k ordered tuples and raises CapacityError
-    when n^k exceeds MAX_ORDERED_TUPLES.  Both return the identical Rational.
+    ``weighted=True`` (the default) walks the nondecreasing index tuples with
+    the multinomial weight k!/prod(multiplicities!); ``weighted=False`` lists
+    all n^k ordered tuples only to count each sorted one (CapacityError when
+    n^k exceeds MAX_ORDERED_TUPLES).  Both return the identical Rational.
 
     By default the raw value is returned; for the power family with
     fractional s that raw value is r^(2s) times a rational and may be

@@ -15,7 +15,10 @@ operations with a ``Fraction`` accumulator of their own each, the way the
 package wrote them before every operation went through one merge.  Function equality by
 clearing negative powers of r^2 and expanding every r^(2e) into
 (sum x_i^2)^e, the way the package decided it before it reduced by
-x_n^2 = r^2 - sum_{i<n} x_i^2.
+x_n^2 = r^2 - sum_{i<n} x_i^2.  The oracle walk as an explicit depth-first
+path of nodes, each with its own iterator over the axes its children take,
+the way the package walked the multisets before it took them from
+``combinations_with_replacement`` onto one prefix stack.
 """
 
 from collections import defaultdict
@@ -23,10 +26,10 @@ from collections.abc import Mapping
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import lcm, prod
-from operator import index
+from operator import index, mul
 
 from radnorm.exactnum import as_rational, binomial, factorial, pochhammer
-from radnorm.symdiff import Term, TermSum, derivative
+from radnorm.symdiff import Term, TermSum, _step, derivative
 
 
 def reference_pochhammer(nu, k):
@@ -299,3 +302,39 @@ def reference_functions_equal(a, b):
     half = delta.numerator // 2
     shift = max(0, -min(_min_half_offset(a) + half, _min_half_offset(b)))
     return _radial_monomials(a, shift + half) == _radial_monomials(b, shift)
+
+
+def reference_walk(n, kind, k, table):
+    """``symdiff._walk``: the same (combo, weight, [S per point]) stream from a
+    path of (terms, combo, weight, trailing multiplicity, axes left) nodes."""
+    a, b = kind.radial_base.as_integer_ratio()
+    base, top = table.base, table.top
+    places = [base ** i for i in range(n)]
+    down_factors = [e * b for e in range(base)]
+    up_factors = [a - 2 * u * b for u in range(k + 1)]
+    if not kind.is_power:
+        up_factors[0] = 1  # d(r^s / s) = x_i r^(s-2) at s = 0
+    points = len(table.scales)
+
+    def leaf(terms):
+        if not terms:
+            return [0] * points
+        coeffs = terms.values()
+        return [sum(map(mul, coeffs, column)) for column in zip(*map(table.__getitem__, terms))]
+
+    path = [({0: 1}, (), 1, 0, iter(range(1, n + 1)))]
+    while path:
+        terms, combo, weight, run, axes = path[-1]
+        depth = len(combo)
+        if depth == k:
+            path.pop()
+            yield combo, weight, leaf(terms)
+            continue
+        axis = next(axes, 0)
+        if not axis:
+            path.pop()
+            continue
+        count = run + 1 if combo and axis == combo[-1] else 1
+        child = _step(terms, places[axis - 1], base, top, down_factors, up_factors)
+        path.append((child, combo + (axis,), weight * (depth + 1) // count, count,
+                     iter(range(axis, n + 1))))

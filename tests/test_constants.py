@@ -154,11 +154,11 @@ def test_closed_equals_recursive_on_grid():
 
 def _deep_gamma(n, s, k):
     # The recursive kernel fed E(n-1, l) from the Fraction self-recursion in reference.py.
-    return _recursive_kernel(n, k, *_terms(NormKind.power(s), k), reference_even_table(n - 1, k))
+    return _recursive_kernel(k, *_terms(NormKind.power(s), k), reference_even_table(n - 1, k))
 
 
 def _deep_ell(n, k):
-    return _recursive_kernel(n, k, *_terms(NormKind.logarithm(), k), reference_even_table(n - 1, k))
+    return _recursive_kernel(k, *_terms(NormKind.logarithm(), k), reference_even_table(n - 1, k))
 
 
 def test_deep_recursion_agrees():

@@ -96,18 +96,18 @@ def test_deep_recursion_matches_the_fraction_outer_sum():
             s = Fraction(5, 7)
             evens = reference_even_table(n - 1, k, memo)
             expected = reference_recursive_norm_sq(n, k, power_coeffs(s), deep)
-            assert _recursive_kernel(n, k, *_terms(NormKind.power(s), k), evens) == expected
-            assert _recursive_kernel(n, k, *_terms(NormKind.logarithm(), k), evens) == \
+            assert _recursive_kernel(k, *_terms(NormKind.power(s), k), evens) == expected
+            assert _recursive_kernel(k, *_terms(NormKind.logarithm(), k), evens) == \
                 reference_recursive_norm_sq(n, k, log_coeffs(), deep)
 
 
 def test_recursive_kernel_rejects_a_non_integer_even_constant():
     nums, den = _terms(NormKind.power(Fraction(1, 3)), 4)
     evens = _evens(2, 4)
-    _recursive_kernel(3, 4, nums, den, evens)  # ints pass
+    _recursive_kernel(4, nums, den, evens)  # ints pass
     for bad in (Fraction(evens[1], 7), float(evens[1])):
         with pytest.raises(TypeError):
-            _recursive_kernel(3, 4, nums, den, [evens[0], bad, evens[2]])
+            _recursive_kernel(4, nums, den, [evens[0], bad, evens[2]])
 
 
 def _unbounded_caches(tree):

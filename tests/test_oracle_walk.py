@@ -1,12 +1,13 @@
 """The integer prefix walk of the pointwise oracle against the TermSum route,
-against sympy, and its memory behaviour."""
+against sympy and against the depth-first path it replaced, its prefix
+count, and its memory behaviour."""
 
 import gc
 import time
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import lcm, prod
+from math import comb, lcm, prod
 
 import pytest
 from hypothesis import given, settings
@@ -29,8 +30,10 @@ from radnorm.symdiff import (
     dimension_split_check,
     grad_norm_sq,
     rescaled_grad_norms,
+    seed_order,
     verify_constancy,
 )
+from reference import reference_walk
 
 LOG = NormKind.logarithm()
 KINDS = [LOG, NormKind.power(0), NormKind.power(3), NormKind.power(-2),
@@ -345,3 +348,60 @@ def test_step_never_cancels_a_coefficient(kind, n, data):
                 u = key // top
                 factors = up_factors[:u] if kind.is_power else range(-2, -2 * u, -2)
                 assert c * prod(factors) > 0, (key, c)
+
+
+HALF = NormKind.power(Fraction(1, 2))
+WALK_POINTS = [
+    (Fraction(1, 2), Fraction(-3), Fraction(2, 5), Fraction(0), Fraction(7), Fraction(-1, 3)),
+    (Fraction(2), Fraction(1, 3), Fraction(-1), Fraction(5, 7), Fraction(0), Fraction(3, 2)),
+    (Fraction(-4, 9), Fraction(0), Fraction(0), Fraction(0), Fraction(0), Fraction(0)),
+]
+
+
+def assert_walk_is_the_reference(n, kind, k):
+    points = [SamplePoint(coords[:n]) for coords in WALK_POINTS]
+    table = _MonomialTable(n, kind, k, points)
+    assert list(_walk(n, kind, k, table)) == list(reference_walk(n, kind, k, table))
+
+
+@pytest.mark.parametrize("kind", [HALF, NormKind.power(0), NormKind.power(Fraction(-7, 3)), LOG],
+                         ids=str)
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_walk_yields_what_the_path_walk_yielded(n, kind):
+    # Same combos in the same order, same weights, same leaves at three points.
+    for k in [0, 1, 2, 5, 7] if kind.is_power else [1, 2, 5, 7]:
+        assert_walk_is_the_reference(n, kind, k)
+
+
+def test_walk_yields_what_the_path_walk_yielded_at_the_top_of_the_box():
+    assert_walk_is_the_reference(6, HALF, 10)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    s=st.one_of(st.none(), exponents),
+    n=st.integers(min_value=1, max_value=4),
+    k=st.integers(min_value=0, max_value=6),
+)
+def test_walk_equals_the_path_walk(s, n, k):
+    kind = LOG if s is None else NormKind.power(s)
+    assert_walk_is_the_reference(n, kind, max(k, seed_order(kind)))
+
+
+@pytest.mark.parametrize("kind, n, k, steps", [
+    (HALF, 6, 10, 8_007), (LOG, 6, 10, 8_007), (HALF, 3, 4, 34), (LOG, 3, 4, 34),
+    (HALF, 1, 7, 7), (LOG, 1, 7, 7), (HALF, 4, 0, 0),
+], ids=str)
+def test_walk_differentiates_each_nonempty_prefix_once(kind, n, k, steps, monkeypatch):
+    calls = []
+    real_step = symdiff._step
+
+    def counted_step(*args):
+        calls.append(args[1])  # the place value, not the terms, so no node is kept
+        return real_step(*args)
+
+    monkeypatch.setattr(symdiff, "_step", counted_step)
+    combos = [combo for combo, _, _ in _walk(n, kind, k, _MonomialTable(n, kind, k, []))]
+    assert combos == list(combinations_with_replacement(range(1, n + 1), k))
+    # One step per sorted prefix of length 1..k: C(n + k, k) - 1 of them.
+    assert len(calls) == steps == comb(n + k, k) - 1

@@ -100,7 +100,7 @@ def test_recursive_kernel_takes_one_binomial_per_inner_sum_term(n, monkeypatch):
         return real_comb(a, b)
 
     monkeypatch.setattr(constants, "comb", counting_comb)
-    recursive = _recursive_kernel(n, k, nums, den, _evens(n - 1, k))
+    recursive = _recursive_kernel(k, nums, den, _evens(n - 1, k))
     recursive_calls, calls[:] = len(calls), []
     closed = _closed_kernel(n, k, nums, den)
     assert recursive == closed
