@@ -26,7 +26,6 @@ from .symdiff import (
     CapacityError,
     SamplePoint,
     _check_scale,
-    _check_tuples,
     _dimension_split_checks,
     _fixed_sample_points,
     _validate_norm_args,
@@ -50,13 +49,14 @@ EXIT_CAPACITY = 3
 FORMATS = ("json", "csv", "plain")
 NORMS = ("gamma", "ell")
 VARIANTS = ("power", "logarithm")  # NormKind.variant
-ORACLE_TABLE_MAX_K = 5  # above this, table rows skip the oracle unless forced
 
 # Capacity caps on command-line requests, checked before any work (exit 3).  The
-# library's formula routes take any size; its oracle raises CapacityError past
-# MAX_DIMENSION, MAX_ORDER and MAX_ORDERED_TUPLES.  Costs: wall time on a shared
-# 2-vCPU Xeon, Python 3.11.7, low-high of 2-3 runs of one in-process call or of one
-# `radnorm` process with stdout discarded.  The caps bound order and cells, not their product.
+# library's formula routes take any size.  The oracle's only cap is its box,
+# MAX_DIMENSION and MAX_ORDER, checked for every oracle cell of a table and for the
+# identity suite's largest walk: the whole box as one oracle table with three s
+# values takes 1.6-1.7 s.  Costs: wall time on a shared 2-vCPU Xeon, Python 3.11.7,
+# low-high of 2-3 runs of one in-process call or of one `radnorm` process with
+# stdout discarded.  The caps bound order and cells, not their product.
 MAX_FORMULA_ORDER = 400  # table order: at k = 400 a closed cell takes 0.07-0.12 s, a recursive 0.02-0.05 s
 MAX_TABLE_CELLS = 10_000  # table rows x methods: a 10,000-cell process at k <= 50 takes 0.9-1.4 s
 MAX_IDENTITY_M = 100  # identities --max-m: one nu over m <= 100 takes 10-20 ms (200: 0.09-0.2 s)
@@ -94,12 +94,10 @@ def _decimal_str(value: Fraction) -> str:
         return str(Decimal(value.numerator) / Decimal(value.denominator))
 
 
-def _table_cell(method: str, n: int, k: int, kind: NormKind, oracle_seed: int | None):
+def _table_cell(method: str, n: int, k: int, kind: NormKind, seed: int):
     if method in FORMULAS:
         return FORMULAS[method](n, kind, k)
-    if oracle_seed is None:
-        return None
-    values = rescaled_grad_norms(n, kind, k, default_sample_points(n, oracle_seed))
+    values = rescaled_grad_norms(n, kind, k, default_sample_points(n, seed))
     if len(set(values)) > 1:
         raise _OracleMismatch(f"oracle values differ across sample points for n={n}, k={k}, {kind}")
     return values[0]
@@ -135,20 +133,18 @@ def cmd_table(args, out: TextIO) -> int:
     cells = len(methods) * len(kinds) * (n_hi - n_lo + 1) * (k_hi - k_lo + 1)
     if cells > MAX_TABLE_CELLS:
         raise CapacityError(f"{cells} table cells exceed the cap of {MAX_TABLE_CELLS}")
-    # The orders whose oracle cell runs.  Every oracle cell is checked against
-    # the box before any row is computed, in row order, so the error names the
-    # first cell that would raise it.
-    oracle_ks = [k for k in ks if "oracle" in methods and (k <= ORACLE_TABLE_MAX_K or args.force_oracle)]
-    for n in ns:
-        for k in oracle_ks:
-            _check_scale(n, k)
+    if "oracle" in methods:
+        # Every oracle cell is checked against the box before any row is computed,
+        # in row order, so the error names the first cell that would raise it.
+        for n in ns:
+            for k in ks:
+                _check_scale(n, k)
     columns = ["N", "k", "s", *methods] + (["decimal"] if args.decimal else [])
     rows = []  # cell texts, "" where a cell is blank
     for n in ns:
         for k in ks:
-            oracle_seed = args.seed if k in oracle_ks else None
             for kind in kinds:
-                values = [_table_cell(m, n, k, kind, oracle_seed) for m in methods]
+                values = [_table_cell(m, n, k, kind, args.seed) for m in methods]
                 texts = ["" if v is None else format_rational(v) for v in [kind.s, *values]]
                 if args.decimal:
                     first = next((v for v in values if v is not None), None)
@@ -335,12 +331,8 @@ def _run_identities(
         raise CapacityError(f"--max-m {max_m} exceeds the cap of {MAX_IDENTITY_M}")
     if trials > MAX_IDENTITY_TRIALS:
         raise CapacityError(f"--trials {trials} exceeds the cap of {MAX_IDENTITY_TRIALS}")
-    if max_n >= 2:
-        # The split section walks to (max_n, max_k), so that shape must be in the
-        # oracle box.  The suite lists no ordered tuples; the n^k bound is kept
-        # only so that it accepts what it accepted before.
+    if max_n >= 2:  # the split section walks to (max_n, max_k)
         _check_scale(max_n, max_k)
-        _check_tuples(max_n, max_k)
     suite = _Suite(max_m, max_n, max_k, trials, random.Random(seed))
     return [IdentitySection(name, *check(suite)) for name, check in _SECTIONS]
 
@@ -397,6 +389,15 @@ class _Parser(argparse.ArgumentParser):
         sys.stdout.flush()  # --help and --version fail here on a closed pipe, not at exit
         super().exit(status, message)
 
+    def _get_values(self, action, arg_strings):
+        # Python 3.11 drops the value of `--opt=--` and stores [] unchecked; later
+        # releases give the option the text "--", which is what this does.
+        if action.option_strings and arg_strings == ["--"]:
+            value = self._get_value(action, "--")
+            self._check_value(action, value)
+            return value
+        return super()._get_values(action, arg_strings)
+
 
 def _one_of(choices: Sequence[str]):
     # A type check worded as argparse 3.11 words a failed choices check, which
@@ -427,8 +428,6 @@ def _build_parser() -> argparse.ArgumentParser:
     t.add_argument("--s", dest="s_list", default=None, help="comma-separated rationals (gamma only)")
     t.add_argument("--methods", default="closed", help=f"subset of {','.join(METHODS)}")
     t.add_argument("--decimal", action="store_true", help="append a 12-significant-digit column")
-    t.add_argument("--force-oracle", action="store_true",
-                   help=f"run the oracle even for k > {ORACLE_TABLE_MAX_K}")
     common(t)
     t.set_defaults(run=cmd_table)
 

@@ -30,7 +30,6 @@ from radnorm.cli import (
 from radnorm.constants import FORMULAS, NormKind, gamma_closed
 from radnorm.exactnum import format_rational, parse_rational
 from radnorm.symdiff import (
-    MAX_ORDERED_TUPLES,
     CapacityError,
     SamplePoint,
     default_sample_points,
@@ -111,26 +110,37 @@ def test_table_json_round_trips(capsys):
         assert parse_rational(row["recursive"]) == value
 
 
-def test_table_oracle_skipped_above_cap_unless_forced(capsys):
+def test_table_oracle_runs_at_every_order_in_the_box(capsys):
     code, out, _ = run(
         capsys, "table", "--norm", "gamma", "--N", "1", "--k", "6", "--s", "2",
         "--methods", "closed,oracle", "--format", "csv",
     )
     assert code == EXIT_OK
-    assert out.strip().splitlines()[1] == "1,6,2,0,"
-    code, out, _ = run(
+    assert out.strip().splitlines()[1] == "1,6,2,0,0"
+    code, out, err = run(
         capsys, "table", "--norm", "gamma", "--N", "1", "--k", "6", "--s", "2",
         "--methods", "closed,oracle", "--format", "csv", "--force-oracle",
     )
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.endswith("error: unrecognized arguments: --force-oracle\n")
+
+
+def test_a_box_wide_oracle_table_agrees_with_the_closed_form(capsys):
+    code, out, _ = run(capsys, "table", "--norm", "ell", "--N", "1..6", "--k", "1..10",
+                       "--methods", "closed,oracle", "--format", "csv")
     assert code == EXIT_OK
-    assert out.strip().splitlines()[1] == "1,6,2,0,0"
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert len(rows) == 60
+    assert all(oracle and oracle == closed for _, _, _, closed, oracle in rows)
 
 
 @pytest.mark.parametrize("argv, first_failing", [
-    (["--N", "1..7", "--k", "1..3", "--s", "1", "--methods", "closed,oracle"], "n=7, k=1"),
-    (["--N", "1..2", "--k", "9..11", "--s", "1,2", "--methods", "oracle", "--force-oracle"],
+    (["--norm", "gamma", "--N", "1..7", "--k", "1..3", "--s", "1", "--methods", "closed,oracle"],
+     "n=7, k=1"),
+    (["--norm", "gamma", "--N", "1..2", "--k", "9..11", "--s", "1,2", "--methods", "oracle"],
      "n=1, k=11"),
-], ids=["dimension", "forced order"])
+    (["--norm", "ell", "--N", "7", "--k", "6..7", "--methods", "closed,oracle"], "n=7, k=6"),
+], ids=["dimension", "forced order", "dimension above k 5"])
 def test_table_checks_the_oracle_box_before_any_walk(capsys, monkeypatch, argv, first_failing):
     walks = []
     real = cli.rescaled_grad_norms
@@ -140,18 +150,10 @@ def test_table_checks_the_oracle_box_before_any_walk(capsys, monkeypatch, argv, 
         return real(*args, **kwargs)
 
     monkeypatch.setattr(cli, "rescaled_grad_norms", counted)
-    code, out, err = run(capsys, "table", "--norm", "gamma", *argv)
+    code, out, err = run(capsys, "table", *argv)
     assert (code, out, walks) == (EXIT_CAPACITY, "", [])
     assert err == (f"radnorm: capacity exceeded: {first_failing} exceeds the desk-scale caps "
                    "(n <= 6, k <= 10)\n")
-
-
-def test_table_outside_the_oracle_box_runs_where_the_oracle_does_not(capsys):
-    # Above ORACLE_TABLE_MAX_K the oracle column stays blank unless forced, so N = 7 is fine.
-    code, out, _ = run(capsys, "table", "--norm", "ell", "--N", "7", "--k", "6..7",
-                       "--methods", "closed,oracle", "--format", "csv")
-    assert code == EXIT_OK
-    assert [line.endswith(",") for line in out.splitlines()[1:]] == [True, True]
 
 
 def test_table_decimal_column(capsys):
@@ -441,6 +443,53 @@ def test_integer_options_keep_their_sign_and_leading_zeros(capsys):
     assert json.loads(out)["request"] == {"N": 2, "k": 2, "kind": "logarithm", "s": None}
 
 
+def _invalid(verb, option, text):
+    return f"radnorm {verb}: error: argument {option}: {text}"
+
+
+_INT_DASHES = "invalid int value: '--'"
+_NOT_RATIONAL = "radnorm: error: not a rational in p/q form: '--'"
+_NOT_RANGE = "radnorm: error: not a range: '--'"
+
+
+@pytest.mark.parametrize("argv, last_line", [
+    *[(["identities", f"{option}=--"], _invalid("identities", option, _INT_DASHES))
+      for option in ("--max-m", "--max-N", "--max-k", "--trials", "--seed")],
+    (["verify", "--N=--", "--kind", "logarithm", "--k", "1"], _invalid("verify", "--N", _INT_DASHES)),
+    (["verify", "--N", "1", "--kind", "logarithm", "--k=--"], _invalid("verify", "--k", _INT_DASHES)),
+    (["verify", "--N", "1", "--kind", "power", "--k", "1", "--s=--"], _NOT_RATIONAL),
+    (["verify", "--N", "1", "--kind", "logarithm", "--k", "1", "--points=--"], _NOT_RATIONAL),
+    (["verify", "--N", "1", "--kind", "logarithm", "--k", "1", "--seed=--"],
+     _invalid("verify", "--seed", _INT_DASHES)),
+    (["table", "--norm", "ell", "--N=--", "--k", "1"], _NOT_RANGE),
+    (["table", "--norm", "ell", "--N", "1", "--k=--"], _NOT_RANGE),
+    (["table", "--norm", "ell", "--N", "1", "--k", "1", "--methods=--"],
+     "radnorm: error: unknown methods: --"),
+    (["table", "--norm", "ell", "--N", "1", "--k", "1", "--methods", "oracle", "--seed=--"],
+     _invalid("table", "--seed", _INT_DASHES)),
+    (["table", "--norm=--", "--N", "1", "--k", "1"],
+     _invalid("table", "--norm", "invalid choice: '--' (choose from 'gamma', 'ell')")),
+    (["verify", "--kind=--", "--N", "1", "--k", "1"],
+     _invalid("verify", "--kind", "invalid choice: '--' (choose from 'power', 'logarithm')")),
+    (["table", "--norm", "ell", "--N", "1", "--k", "1", "--format=--"],
+     _invalid("table", "--format", "invalid choice: '--' (choose from 'json', 'csv', 'plain')")),
+    (["table", "--norm", "ell", "--N", "1", "--k", "1", "--out=--"], None),
+], ids=lambda value: " ".join(value) if isinstance(value, list) else None)
+def test_an_option_written_with_equals_dashes_takes_the_text(capsys, monkeypatch, tmp_path, argv,
+                                                             last_line):
+    # `--opt=--` gives the option the two characters "--" on every interpreter,
+    # which each option then accepts or rejects as it would any other text.
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    if last_line is None:  # an output path like any other
+        assert (code, out, err) == (EXIT_OK, "", "")
+        assert (tmp_path / "--").read_text() == "N  k  s  closed\n1  1  -  1\n"
+        return
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.splitlines()[-1] == last_line
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -590,8 +639,6 @@ def test_out_through_a_symlink_keeps_the_link_and_the_mode(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["identities", "--max-N", "7", "--max-k", "11"],
-    ["identities", "--max-N", "6", "--max-k", "7"],
-    ["identities", "--max-N", "4", "--max-k", "9"],
     ["identities", "--max-m", "100000", "--trials", "1"],
     ["identities", "--max-m", str(MAX_IDENTITY_M + 1)],
     ["identities", "--trials", str(MAX_IDENTITY_TRIALS + 1)],
@@ -645,10 +692,11 @@ def test_requests_at_the_caps_run(capsys):
     assert sections[0].detail == f"4 values of nu, m <= {MAX_IDENTITY_M}, 0 failures"
     sections = _run_identities(0, 1, 1, MAX_IDENTITY_TRIALS, 0)
     assert all(section.status != "FAIL" for section in sections)
-    # 5^7 = 78,125 ordered tuples is inside the enumeration cap, 6^7 is not
-    with pytest.raises(CapacityError):
-        _run_identities(0, 6, 7, 1, 0)
-    assert 5 ** 7 <= MAX_ORDERED_TUPLES < 6 ** 7
+    # the suite lists no ordered tuples, so only the oracle box bounds (max_N, max_k)
+    assert all(section.status != "FAIL" for section in _run_identities(0, 6, 7, 1, 0))
+    for max_n, max_k in [(6, 11), (7, 2)]:
+        with pytest.raises(CapacityError):
+            _run_identities(0, max_n, max_k, 1, 0)
 
 
 def test_identities_with_one_dimension_need_no_oracle_capacity(capsys):

@@ -61,7 +61,7 @@ COMMANDS = [
     ["table", "--norm", "gamma", "--N", "2..3", "--k", "1..4", "--s=-5/3",
      "--methods", "oracle,closed", "--seed", "7"],
     ["table", "--norm", "ell", "--N", "2", "--k", "5..7", "--methods", "oracle",
-     "--force-oracle", "--format", "csv"],
+     "--format", "csv"],
     # verify
     ["verify", "--N", "3", "--kind", "logarithm", "--k", "3"],
     ["verify", "--N", "2", "--kind", "power", "--s", "1/2", "--k", "2",
@@ -92,6 +92,10 @@ COMMANDS = [
     # table rules that no entry above reaches (exit 1)
     ["table", "--norm", "ell", "--N", "1..2", "--k", "1..2", "--s", "1"],
     ["table", "--norm", "gamma", "--N", "2..1", "--k", "0..2", "--s", "1"],
+    # an option written `--opt=--` takes the text "--" (exit 1)
+    ["table", "--norm=--", "--N", "1", "--k", "1"],
+    ["verify", "--N", "1", "--kind", "power", "--k", "1", "--s=--"],
+    ["identities", "--max-k=--"],
 ]
 
 

@@ -18,6 +18,8 @@ FAMILY_BRANCHES = 13
 BOOL_CHECKS = 2
 ARGPARSE_CHOICE_RECHECKS = 0
 ORDERED_TUPLE_ENUMERATIONS = 1
+CLI_OPTIONS = 20
+CAPACITY_CAPS = 7
 
 EXPORTS = {
     "__version__",
@@ -202,6 +204,42 @@ def test_no_ordered_tuple_enumeration_is_added_unnoticed():
     assert len(found) == ORDERED_TUPLE_ENUMERATIONS, found
     source = "product(a, repeat=k)\nitertools.product(b, repeat=2)\nproduct(c, d)\nf(e, repeat=3)\n"
     assert list(_ordered_tuple_enumerations(ast.parse(source))) == [1, 2]
+
+
+def _cli_options(tree):
+    # Each add_argument call: one option or flag a command line can set.
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add_argument":
+            yield node.lineno
+
+
+def test_no_cli_option_is_added_unnoticed():
+    # Each option is one more input the golden corpus and the usage lines must
+    # cover; adding one is a deliberate change.
+    found = list(_cli_options(ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))))
+    assert len(found) == CLI_OPTIONS, found
+    source = "p.add_argument('--a')\nq.sub.add_argument('b')\nadd_argument('c')\np.add_parser('d')\n"
+    assert list(_cli_options(ast.parse(source))) == [1, 2]
+
+
+def _capacity_caps(tree):
+    # Each module-level MAX_* or *_MAX_* constant: a named limit on what runs.
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+        for target in targets:
+            name = getattr(target, "id", "")
+            if name.startswith("MAX_") or "_MAX_" in name:
+                yield name
+
+
+def test_no_capacity_cap_is_added_unnoticed():
+    # The oracle box bounds the one route whose cost grows fastest; each further
+    # cap guesses at a cost, and adding one is a deliberate change.
+    found = [f"{path.stem}.{name}" for path in sorted(SRC.glob("*.py"))
+             for name in _capacity_caps(ast.parse(path.read_text(encoding="utf-8")))]
+    assert len(found) == CAPACITY_CAPS, found
+    source = "MAX_A = 1\nB_MAX_C: int = 2\nMAXIMUM = 3\nD_MAX = 4\nx.MAX_E = 5\ndef f():\n    MAX_F = 6\n"
+    assert list(_capacity_caps(ast.parse(source))) == ["MAX_A", "B_MAX_C"]
 
 
 def test_the_benchmark_tracer_finds_every_function_it_wraps():
